@@ -7,13 +7,13 @@ use specrt_spec::IterationNumbering;
 use specrt_workloads::Scale;
 
 fn main() {
-    for r in ablation_chunking(Scale::Smoke) {
+    for r in ablation_chunking(Scale::Smoke, 1) {
         println!(
             "chunking[chunk={}]: {} cycles, {} read-first signals, {} stamp bits",
             r.chunk, r.hw_cycles, r.read_first_signals, r.stamp_bits
         );
     }
-    for r in ablation_track_block(Scale::Smoke) {
+    for r in ablation_track_block(1) {
         println!(
             "track-block[block={}]: passed={} {} cycles",
             r.block, r.passed, r.hw_cycles

@@ -38,9 +38,8 @@
 //! tables themselves — is byte-identical with or without it.
 
 use specrt_core::experiments::{
-    ablation_chunking_jobs, ablation_machine_jobs, ablation_policy_jobs, ablation_track_block_jobs,
-    evaluate_all_jobs, extension_density_jobs, fig11_from, fig12_from, fig13_jobs, fig14_jobs,
-    state_cost_table, LoopResults,
+    ablation_chunking, ablation_machine, ablation_policy, ablation_track_block, evaluate_all,
+    extension_density, fig11_from, fig12_from, fig13, fig14, state_cost_table, LoopResults,
 };
 use specrt_core::report::{bar_chart, bsm, f2, stacked_bar, Table};
 use specrt_engine::Cycles;
@@ -157,7 +156,7 @@ fn main() {
     let needs_eval = matches!(what, "all" | "claims" | "fig11" | "fig12");
     let results: Vec<LoopResults> = if needs_eval {
         eprintln!("running all scenarios on all workloads ({scale:?} scale, {jobs} worker(s))...");
-        evaluate_all_jobs(scale, jobs)
+        evaluate_all(scale, jobs)
     } else {
         Vec::new()
     };
@@ -216,7 +215,7 @@ fn print_claims(results: &[LoopResults], scale: Scale, jobs: usize) {
         .product::<f64>()
         .powf(1.0 / rows.len() as f64);
     let all_hw_beat_sw = rows.iter().all(|r| r.hw > r.sw);
-    let f13 = fig13_jobs(scale, jobs);
+    let f13 = fig13(scale, jobs);
     let hw_fail: f64 = f13.iter().map(|r| r.hw.total()).sum::<f64>() / f13.len() as f64;
     let sw_fail: f64 = f13.iter().map(|r| r.sw.total()).sum::<f64>() / f13.len() as f64;
     let early = f13
@@ -319,7 +318,7 @@ fn print_fig13(scale: Scale, jobs: usize) {
         "HW (fail)",
         "HW iters before abort",
     ]);
-    for r in fig13_jobs(scale, jobs) {
+    for r in fig13(scale, jobs) {
         t.row(vec![
             r.workload.clone(),
             f2(r.serial.total()),
@@ -335,7 +334,7 @@ fn print_fig14(scale: Scale, jobs: usize) {
     println!("== Figure 14: scalability (speedups at 8 and 16 processors) ==");
     println!("(paper: SW saturates earlier; P3m's SW is slower at 16 than at 8)\n");
     let mut t = Table::new(vec!["loop", "procs", "Ideal", "SW", "HW"]);
-    for r in fig14_jobs(scale, jobs) {
+    for r in fig14(scale, jobs) {
         t.row(vec![
             r.workload.clone(),
             r.procs.to_string(),
@@ -378,7 +377,7 @@ fn print_ablation(scale: Scale, jobs: usize) {
         "read-first signals",
         "stamp bits",
     ]);
-    for r in ablation_chunking_jobs(scale, jobs) {
+    for r in ablation_chunking(scale, jobs) {
         t.row(vec![
             r.chunk.to_string(),
             r.hw_cycles.to_string(),
@@ -390,14 +389,14 @@ fn print_ablation(scale: Scale, jobs: usize) {
 
     println!("== Ablation: machine-model sensitivity (Ocean, HW vs SW) ==\n");
     let mut t = Table::new(vec!["machine", "HW speedup", "SW speedup"]);
-    for r in ablation_machine_jobs(scale, jobs) {
+    for r in ablation_machine(jobs) {
         t.row(vec![r.config.clone(), f2(r.hw_speedup), f2(r.sw_speedup)]);
     }
     println!("{}", t.render());
 
     println!("== Extension (section 2.2.4): profitability vs conflict density ==\n");
     let mut t = Table::new(vec!["density", "pass rate", "HW/serial", "SW/serial"]);
-    for r in extension_density_jobs(scale, jobs) {
+    for r in extension_density(scale, jobs) {
         t.row(vec![
             format!("{:.2}", r.density),
             f2(r.pass_rate),
@@ -409,14 +408,14 @@ fn print_ablation(scale: Scale, jobs: usize) {
 
     println!("== Ablation: abort latency and dirty-read coherence policy (Ocean) ==\n");
     let mut t = Table::new(vec!["configuration", "HW cycles"]);
-    for r in ablation_policy_jobs(scale, jobs) {
+    for r in ablation_policy(jobs) {
         t.row(vec![r.config.clone(), r.hw_cycles.to_string()]);
     }
     println!("{}", t.render());
 
     println!("== Ablation (section 5.2): Track's dynamic block size under HW ==\n");
     let mut t = Table::new(vec!["block", "passed", "HW cycles"]);
-    for r in ablation_track_block_jobs(scale, jobs) {
+    for r in ablation_track_block(jobs) {
         t.row(vec![
             r.block.to_string(),
             r.passed.to_string(),

@@ -3,7 +3,7 @@
 //! ```text
 //! specrt-check fuzz --cases 500 --seed 0x5eed [--jobs N] [--inject drop-ronly]
 //! specrt-check replay <seed>
-//! specrt-check interleave [--jobs N] [--lines L --elems E --procs P]
+//! specrt-check interleave [model flags]
 //! specrt-check model [--lines L] [--elems E] [--procs P] [--max-ops N]
 //!                    [--variant nonpriv|priv|priv3] [--jobs N] [--inject BUG]
 //! specrt-check coverage [--cases N] [--seed S] [--jobs N]
@@ -17,11 +17,10 @@
 //!   on and the exit code inverts: the fuzzer must *find* (and shrink) a
 //!   counterexample, proving the harness catches real regressions.
 //! * `replay` re-runs one case seed and, if it disagrees, shrinks it.
-//! * `interleave` runs the small-scope message-ordering enumeration at its
-//!   legacy hardcoded scope; any `--lines/--elems/--procs/--max-ops/
-//!   --variant` flag switches it to the bounded model checker (shared flag
-//!   set with `model`). Unsupported scope combinations are rejected with
-//!   the valid ranges.
+//! * `interleave` is an alias for `model --variant nonpriv --lines 1
+//!   --elems 2 --procs 3 --max-ops 5`, the smallest model-checker scope
+//!   that contains every script of the retired interleaving enumerator;
+//!   explicit flags override those defaults.
 //! * `model` runs the bounded model checker over the pure `ProtocolSpec`
 //!   transition function: per-variant exhaustive small-scope exploration
 //!   (default 2 lines × 3 elems × 4 procs, all of nonpriv/priv/priv3) with
@@ -29,9 +28,10 @@
 //!   race-case coverage; exits non-zero on any violation or missing race
 //!   case. With `--inject <bug>` the exit code inverts: the checker must
 //!   find the planted protocol bug and print a minimal counterexample.
-//! * `coverage` runs the fuzzer, the legacy enumeration and a per-variant
-//!   model-checker pass, and fails unless every race case (a)–(h) of the
-//!   paper's Figs. 6–9 was reached by each.
+//!   Unsupported scope combinations are rejected with the valid ranges.
+//! * `coverage` runs the fuzzer and a per-variant model-checker pass, and
+//!   fails unless every race case (a)–(h) of the paper's Figs. 6–9 was
+//!   reached by each.
 //! * `campaign` sweeps the interconnect fault plane (drop / duplicate /
 //!   delay × rate × fault seed) over generated loops, asserts every run
 //!   still reproduces the serial oracle's memory image, and emits a
@@ -44,8 +44,8 @@
 //!   planted checkpoint bug (snapshots skip the dirty image state) must be
 //!   caught by the serial-oracle image check.
 //!
-//! `--jobs N` distributes independent cases (fuzz) or script-prefix
-//! partitions (interleave) over `N` worker threads; `--jobs 0` means "all
+//! `--jobs N` distributes independent cases (fuzz, campaign) or scripts
+//! (model) over `N` worker threads; `--jobs 0` means "all
 //! available cores". Output is byte-identical for every job count — the
 //! default stays 1 so existing invocations and golden comparisons are
 //! unchanged unless parallelism is asked for.
@@ -61,9 +61,8 @@
 use std::process::ExitCode;
 
 use specrt_check::{
-    enumerate_small_scope_jobs, fuzz_jobs, render_case, replay, run_campaign, run_model,
-    CampaignConfig, CaseSpec, Coverage, FuzzFailure, ModelConfig, NodeGridConfig, DEFAULT_MAX_OPS,
-    NODE_FAULT_NEVER,
+    fuzz_jobs, render_case, replay, run_campaign, run_model, CampaignConfig, CaseSpec, Coverage,
+    FuzzFailure, ModelConfig, NodeGridConfig, DEFAULT_MAX_OPS, NODE_FAULT_NEVER,
 };
 use specrt_machine::{CheckpointConfig, RecoveryPolicy};
 use specrt_proto::FaultConfig;
@@ -77,6 +76,7 @@ fn parse_u64(s: &str) -> Option<u64> {
     }
 }
 
+#[derive(Clone)]
 struct Args {
     cases: u64,
     /// Whether `--cases` was given explicitly (the fuzz and campaign
@@ -102,8 +102,8 @@ struct Args {
 }
 
 impl Args {
-    /// Whether any model-scope flag was given (switches `interleave` from
-    /// its legacy hardcoded scope to the model checker).
+    /// Whether any model-scope flag was given (widens `coverage`'s model
+    /// pass beyond its smoke scopes).
     fn scope_given(&self) -> bool {
         self.lines.is_some() || self.elems.is_some() || self.procs.is_some()
     }
@@ -358,24 +358,17 @@ fn cmd_replay(args: &Args) -> ExitCode {
     }
 }
 
+/// The model checker at the retired interleaving enumerator's scope: it
+/// explored nonpriv scripts on one line of two elements with 2 processors
+/// of at most 2 accesses each, plus four 5-access 3-processor scripts.
 fn cmd_interleave(args: &Args) -> ExitCode {
-    if args.scope_given() || args.variant.is_some() || args.max_ops.is_some() {
-        // The enumerator grew into the model checker; an explicit scope
-        // selects it (the flag set is shared with `model`).
-        return cmd_model(args);
-    }
-    let mut cov = Coverage::new();
-    let summary = enumerate_small_scope_jobs(&mut cov, args.jobs);
-    println!(
-        "interleave: {} scripts, {} states, {} violation(s), {} conservative script(s)",
-        summary.scripts, summary.states, summary.violations, summary.conservative
-    );
-    print_coverage(&cov);
-    if summary.violations == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    let mut args = args.clone();
+    args.variant.get_or_insert_with(|| "nonpriv".to_string());
+    args.lines.get_or_insert(1);
+    args.elems.get_or_insert(2);
+    args.procs.get_or_insert(3);
+    args.max_ops.get_or_insert(5);
+    cmd_model(&args)
 }
 
 fn cmd_model(args: &Args) -> ExitCode {
@@ -440,21 +433,17 @@ fn print_coverage(cov: &Coverage) {
 }
 
 fn cmd_coverage(args: &Args) -> ExitCode {
-    // The enumerator guarantees every letter is reachable; the fuzzer's
-    // protocol statistics show the full machine reaches them too.
+    // The fuzzer's protocol statistics show the full machine reaches
+    // every letter; the model checker shows each variant's transition
+    // function does.
     let mut cov = Coverage::new();
-    let summary = enumerate_small_scope_jobs(&mut cov, args.jobs);
     let report = fuzz_jobs(args.cases, args.seed, args.jobs);
     for c in report.visited_race_cases() {
         cov.counts[(c as u8 - b'a') as usize] += 1;
     }
     print_coverage(&cov);
-    println!(
-        "fuzz race cases: {:?}; enumeration violations: {}",
-        report.visited_race_cases(),
-        summary.violations
-    );
-    if summary.violations > 0 || !report.ok() {
+    println!("fuzz race cases: {:?}", report.visited_race_cases());
+    if !report.ok() {
         return ExitCode::FAILURE;
     }
     // The model checker must also reach every race site, per protocol

@@ -8,7 +8,7 @@
 //! the directory race resolutions of the paper's Figs. 6–9 stay sound under
 //! *every* message ordering?
 //!
-//! Three layers:
+//! Two layers, plus the hooks they lean on:
 //!
 //! * [`generate`] + [`diff`] + [`mod@shrink`] + [`mod@fuzz`] — an end-to-end
 //!   **differential fuzzer**: random subscripted-subscript loops run under
@@ -17,16 +17,13 @@
 //!   oracle of `specrt_lrpd::oracle` and every final memory image against a
 //!   serial run. Failures shrink to 1-minimal counterexamples and replay
 //!   from a single seed (`specrt-check replay <seed>`).
-//! * [`interleave`] — a small-scope **interleaving enumerator** that
-//!   DFS-explores every ordering of processor steps, update-message
-//!   deliveries and evictions for one cache line under the
-//!   non-privatization protocol, proving no ordering lets a non-envelope
-//!   access pattern pass, with coverage accounting for race cases (a)–(h).
 //! * [`model`] — a **bounded model checker** over the pure
-//!   [`specrt_spec::ProtocolSpec`] transition function: explicit-frontier
-//!   BFS with canonical hashed-state dedup ([`canon::spec_state_key`]) and
-//!   processor-symmetry reduction, covering all three protocol variants at
-//!   up to 2 lines × 3 elems × 4 procs, parallelized per script with
+//!   [`specrt_spec::ProtocolSpec`] transition function (the code the
+//!   simulator executes): explicit-frontier BFS over every ordering of
+//!   processor accesses, message deliveries and evictions, with canonical
+//!   hashed-state dedup ([`canon::spec_state_key`]) and processor-symmetry
+//!   reduction, covering all three protocol variants at up to 2 lines ×
+//!   3 elems × 4 procs, race-case (a)–(h) coverage accounting, and
 //!   byte-identical reports at any worker count.
 //! * invariant hooks — the `debug_assertions` checks this crate leans on
 //!   live in `specrt-proto` ([`specrt_proto::MemSystem::assert_invariants`],
@@ -39,7 +36,6 @@ pub mod canon;
 pub mod diff;
 pub mod fuzz;
 pub mod generate;
-pub mod interleave;
 pub mod model;
 pub mod shrink;
 
@@ -58,12 +54,8 @@ pub use fuzz::{
     FuzzReport, RACE_CASE_KEYS,
 };
 pub use generate::{CaseSpec, Op, ARR_A, ARR_OUT, TEMPLATE_SEEDS};
-pub use interleave::{
-    enumerate_small_scope, enumerate_small_scope_jobs, explore_script, script_envelope_holds,
-    Coverage, EnumerationSummary, ExploreResult,
-};
 pub use model::{
-    enumerate_scripts, envelope_holds, run_model, Counterexample, ModelConfig, ModelReport, Script,
-    DEFAULT_MAX_OPS, MAX_OPS_PER_PROC,
+    enumerate_scripts, envelope_holds, run_model, Counterexample, Coverage, ModelConfig,
+    ModelReport, Script, DEFAULT_MAX_OPS, MAX_OPS_PER_PROC,
 };
 pub use shrink::shrink;

@@ -1,12 +1,10 @@
 //! Bounded model checker over the pure [`ProtocolSpec`] transition
 //! function.
 //!
-//! Where [`crate::interleave`] hand-rolls a one-line/two-element model of
-//! the non-privatization protocol, this module enumerates the **system
-//! layer of `specrt_spec::protospec`** — the same element-level transition
-//! code the simulator executes — over a configurable
-//! [`SpecScope`] (`lines × elems × procs`, up to 2×3×4) and all three
-//! protocol variants (`nonpriv`, `priv`, `priv3`).
+//! The checker enumerates the **system layer of `specrt_spec::protospec`**
+//! — the same element-level transition code the simulator executes — over
+//! a configurable [`SpecScope`] (`lines × elems × procs`, up to 2×3×4) and
+//! all three protocol variants (`nonpriv`, `priv`, `priv3`).
 //!
 //! ## Search structure
 //!
@@ -88,7 +86,44 @@ use specrt_trace::{HitKind, TraceEvent};
 
 use crate::canon::spec_state_key;
 use crate::generate::Op;
-use crate::interleave::Coverage;
+
+/// Race-case coverage accounting over one or more explorations.
+#[derive(Debug, Clone, Default)]
+pub struct Coverage {
+    /// `counts[i]` = times race case `('a' + i)` was reached.
+    pub counts: [u64; 8],
+}
+
+impl Coverage {
+    /// Creates empty coverage.
+    pub fn new() -> Coverage {
+        Coverage::default()
+    }
+
+    /// Adds another coverage's counts into this one (order-independent:
+    /// counts are sums, so merging per-worker coverages in any order gives
+    /// the same totals as one sequential exploration).
+    pub fn merge(&mut self, other: &Coverage) {
+        for (c, o) in self.counts.iter_mut().zip(other.counts.iter()) {
+            *c += o;
+        }
+    }
+
+    /// Race-case letters never reached.
+    pub fn unvisited(&self) -> Vec<char> {
+        self.counts
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c == 0)
+            .map(|(i, _)| (b'a' + i as u8) as char)
+            .collect()
+    }
+
+    /// Whether all of (a)–(h) were reached.
+    pub fn complete(&self) -> bool {
+        self.counts.iter().all(|&c| c > 0)
+    }
+}
 
 /// Per-processor access-sequence cap (sequences of 0, 1 or 2 accesses).
 pub const MAX_OPS_PER_PROC: usize = 2;

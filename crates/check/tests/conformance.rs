@@ -1,8 +1,9 @@
 //! Debug-build conformance smoke: a bounded differential-fuzz run (with
-//! every `debug_assertions` invariant hook live) and the full small-scope
-//! interleaving enumeration.
+//! every `debug_assertions` invariant hook live) and the model checker at
+//! the small scope `specrt-check interleave` runs.
 
-use specrt_check::{enumerate_small_scope, fuzz, Coverage};
+use specrt_check::{fuzz, run_model, ModelConfig};
+use specrt_spec::{SpecScope, SpecVariant};
 
 #[test]
 fn bounded_fuzz_agrees_with_oracle_under_debug_invariants() {
@@ -21,21 +22,29 @@ fn bounded_fuzz_agrees_with_oracle_under_debug_invariants() {
 }
 
 #[test]
-fn interleaving_enumeration_is_sound_and_covers_all_race_cases() {
-    let mut cov = Coverage::new();
-    let summary = enumerate_small_scope(&mut cov);
+fn interleave_scope_is_sound_and_covers_all_race_cases() {
+    let report = run_model(&ModelConfig {
+        variant: SpecVariant::NonPriv,
+        scope: SpecScope {
+            lines: 1,
+            elems: 2,
+            procs: 3,
+        },
+        max_ops: 5,
+        jobs: 1,
+    });
     assert_eq!(
-        summary.violations, 0,
+        report.violations, 0,
         "an interleaving let a non-envelope pattern pass"
     );
     assert_eq!(
-        summary.conservative, 0,
+        report.conservative, 0,
         "an envelope-holding script never passed"
     );
     assert!(
-        cov.complete(),
-        "race cases unvisited by the enumerator: {:?}",
-        cov.unvisited()
+        report.coverage.complete(),
+        "race cases unvisited: {:?}",
+        report.coverage.unvisited()
     );
-    assert!(summary.states > 1000, "suspiciously small state space");
+    assert!(report.states > 1000, "suspiciously small state space");
 }

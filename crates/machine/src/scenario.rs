@@ -16,13 +16,17 @@
 //!   restore + serial re-execution; on success, copy-out of live
 //!   privatized arrays.
 //! * **HW** — backup → speculative loop under the protocol extensions with
-//!   immediate abort on FAIL; on failure, restore + serial re-execution;
-//!   on success, copy-out.
+//!   immediate abort on FAIL; on failure, restore + serial re-execution
+//!   (or, under the non-default [`RecoveryPolicy`] variants, a speculative
+//!   retry or a rerun from the last checkpoint first); on success,
+//!   copy-out.
 //!
 //! Serial re-execution is modelled on a one-processor machine with local
 //! data, matching the paper's accounting ("the HW execution time includes
 //! the parallel execution up to when the dependence is detected … plus the
 //! Serial time", §6.2).
+
+use std::collections::BTreeMap;
 
 use specrt_engine::{Cycles, StatSet, TimeBreakdown};
 use specrt_ir::{ArrayId, Program, Scalar};
@@ -33,13 +37,14 @@ use specrt_lrpd::phases::{
 use specrt_lrpd::shadow::{CNT_ATM, CNT_ATW, CNT_BAD_NP, CNT_BAD_WR, CNT_LEN};
 use specrt_lrpd::{instrument_for_proc, sw_private_copy_id, InstrumentConfig, ShadowIds};
 use specrt_mem::{ArrayBackup, ElemSize, MemoryImage, NodeId, PlacementPolicy, ProcId};
-use specrt_proto::{private_copy_id, FaultConfig, MemSystem, NetSummary, TraceEvent};
+use specrt_proto::{private_copy_id, FaultConfig, NetSummary, TraceEvent};
 use specrt_spec::{fault, FailReason, IterationNumbering, ProtocolKind, TestPlan};
 
 use crate::config::{MachineConfig, RecoveryPolicy};
-use crate::exec::{ExecEnd, Executor};
+use crate::exec::{ExecEnd, ExecSummary, Executor};
 use crate::loopspec::{LoopSpec, ScheduleKind};
-use crate::sched::{BlockCyclic, DynamicSelf, Replicated, Scheduler, StaticChunked};
+use crate::pool::PooledMem;
+use crate::sched::{BlockCyclic, DynamicSelf, Replicated, Scheduler, StaticChunked, Windowed};
 
 /// Reserved id bit for backup copies.
 const BACKUP_BASE: u32 = 0x1000_0000;
@@ -145,7 +150,7 @@ impl Accum {
         }
     }
 
-    fn absorb(&mut self, summary: &crate::exec::ExecSummary) {
+    fn absorb(&mut self, summary: &ExecSummary) {
         for (acc, bd) in self.per_proc.iter_mut().zip(&summary.per_proc) {
             *acc = acc.merged(bd);
         }
@@ -187,28 +192,6 @@ fn make_sched(
     }
 }
 
-/// Allocates and registers the loop's arrays on a machine.
-fn setup_arrays(spec: &LoopSpec, ms: &mut MemSystem, image: &mut MemoryImage, local: bool) {
-    let _prof = specrt_prof::scope("machine.setup");
-    for a in &spec.arrays {
-        let policy = if local {
-            PlacementPolicy::Local(NodeId(0))
-        } else {
-            PlacementPolicy::RoundRobin
-        };
-        ms.alloc_array(a.id, a.len, a.elem, policy);
-        image.register_with(a.id, a.padded_init());
-    }
-    // Synchronization infrastructure: barrier counter + sense flag.
-    ms.alloc_array(
-        crate::exec::BARRIER_ARRAY,
-        2,
-        ElemSize::W8,
-        PlacementPolicy::Local(NodeId(0)),
-    );
-    image.register(crate::exec::BARRIER_ARRAY, 2);
-}
-
 /// Runs `spec` under `scenario` on a `procs`-processor machine.
 ///
 /// # Panics
@@ -235,338 +218,13 @@ pub fn run_scenario_configured(
     }
 }
 
-fn single_proc(mut cfg: MachineConfig) -> MachineConfig {
-    cfg.mem.procs = 1;
-    cfg
-}
-
 // ----------------------------------------------------------------------
-// Serial
+// The machine and its shared phases
 // ----------------------------------------------------------------------
 
-fn run_serial(spec: &LoopSpec, cfg: MachineConfig) -> RunResult {
-    let cfg = single_proc(cfg);
-    let mut ms = crate::pool::lease(cfg.mem);
-    if cfg.trace_capacity > 0 {
-        ms.enable_event_trace(cfg.trace_capacity);
-        ms.set_net_trace(cfg.trace_net);
-    }
-    let mut image = MemoryImage::new();
-    setup_arrays(spec, &mut ms, &mut image, true);
-    ms.configure_loop(TestPlan::new(), IterationNumbering::iteration_wise());
-    let mut sched = StaticChunked::new(spec.iters, 1, cfg.sched_static_overhead);
-    let summary = Executor::new(
-        &cfg,
-        &mut ms,
-        &mut image,
-        vec![spec.body.clone()],
-        &mut sched,
-    )
-    .run();
-    assert_eq!(
-        summary.end,
-        ExecEnd::Completed,
-        "serial execution cannot fail"
-    );
-    RunResult {
-        scenario: Scenario::Serial,
-        name: spec.name.clone(),
-        total_cycles: summary.finish_time,
-        breakdown: summary.per_proc[0],
-        passed: None,
-        failure: None,
-        iterations: summary.iterations,
-        final_image: image,
-        stats: ms.stats().clone(),
-        net: ms.net_summary(),
-        trace: ms.take_event_trace(),
-    }
-}
-
-/// Serial re-execution after a failed speculation: runs the loop on a
-/// fresh one-processor machine starting from `restored` contents, and
-/// copies the results back.
-fn serial_reexec(
-    spec: &LoopSpec,
-    restored: &MemoryImage,
-    cfg: MachineConfig,
-) -> (Cycles, TimeBreakdown, MemoryImage) {
-    let _prof = specrt_prof::scope("machine.serial_reexec");
-    let cfg = single_proc(cfg);
-    let mut ms = crate::pool::lease(cfg.mem);
-    let mut image = MemoryImage::new();
-    for a in &spec.arrays {
-        ms.alloc_array(a.id, a.len, a.elem, PlacementPolicy::Local(NodeId(0)));
-        image.register_with(a.id, restored.contents(a.id));
-    }
-    ms.alloc_array(
-        crate::exec::BARRIER_ARRAY,
-        2,
-        ElemSize::W8,
-        PlacementPolicy::Local(NodeId(0)),
-    );
-    image.register(crate::exec::BARRIER_ARRAY, 2);
-    ms.configure_loop(TestPlan::new(), IterationNumbering::iteration_wise());
-    let mut sched = StaticChunked::new(spec.iters, 1, cfg.sched_static_overhead);
-    let summary = Executor::new(
-        &cfg,
-        &mut ms,
-        &mut image,
-        vec![spec.body.clone()],
-        &mut sched,
-    )
-    .run();
-    assert_eq!(summary.end, ExecEnd::Completed, "re-execution cannot fail");
-    (summary.finish_time, summary.per_proc[0], image)
-}
-
-/// [`serial_reexec`] restricted to the suffix a checkpoint did not cover:
-/// re-runs only `[start, spec.iters)` serially, starting from the committed
-/// checkpoint image. Even this fallback path beats the whole-loop safety
-/// net whenever `start > 0`.
-fn serial_reexec_from(
-    spec: &LoopSpec,
-    restored: &MemoryImage,
-    start: u64,
-    cfg: MachineConfig,
-) -> (Cycles, TimeBreakdown, MemoryImage) {
-    let _prof = specrt_prof::scope("machine.serial_reexec");
-    let cfg = single_proc(cfg);
-    let mut ms = crate::pool::lease(cfg.mem);
-    let mut image = MemoryImage::new();
-    for a in &spec.arrays {
-        ms.alloc_array(a.id, a.len, a.elem, PlacementPolicy::Local(NodeId(0)));
-        image.register_with(a.id, restored.contents(a.id));
-    }
-    ms.alloc_array(
-        crate::exec::BARRIER_ARRAY,
-        2,
-        ElemSize::W8,
-        PlacementPolicy::Local(NodeId(0)),
-    );
-    image.register(crate::exec::BARRIER_ARRAY, 2);
-    ms.configure_loop(TestPlan::new(), IterationNumbering::iteration_wise());
-    let inner = Box::new(StaticChunked::new(
-        spec.iters - start,
-        1,
-        cfg.sched_static_overhead,
-    ));
-    let mut sched = crate::sched::Windowed::new(inner, start);
-    let summary = Executor::new(
-        &cfg,
-        &mut ms,
-        &mut image,
-        vec![spec.body.clone()],
-        &mut sched,
-    )
-    .run();
-    assert_eq!(summary.end, ExecEnd::Completed, "re-execution cannot fail");
-    (summary.finish_time, summary.per_proc[0], image)
-}
-
-// ----------------------------------------------------------------------
-// Ideal
-// ----------------------------------------------------------------------
-
-fn run_ideal(spec: &LoopSpec, cfg: MachineConfig) -> RunResult {
-    let procs = cfg.procs();
-    let mut ms = crate::pool::lease(cfg.mem);
-    if cfg.trace_capacity > 0 {
-        ms.enable_event_trace(cfg.trace_capacity);
-        ms.set_net_trace(cfg.trace_net);
-    }
-    let mut image = MemoryImage::new();
-    setup_arrays(spec, &mut ms, &mut image, false);
-
-    // Privatized arrays keep their data path; non-privatized tested arrays
-    // revert to plain coherence; no test runs at all.
-    let mut plan = TestPlan::new();
-    for (arr, kind) in spec.plan.arrays_under_test() {
-        if kind.is_privatized() {
-            plan.set(arr, kind);
-        }
-    }
-    let priv_arrays = plan.priv_arrays();
-    ms.configure_loop(plan, spec.numbering);
-    ms.set_test_enabled(false);
-    for &arr in &priv_arrays {
-        for p in 0..procs {
-            image.register(private_copy_id(arr, ProcId(p)), spec.array(arr).len);
-        }
-    }
-    // Scratch arrays for copy-out timing.
-    let live_priv: Vec<ArrayId> = spec
-        .live_after
-        .iter()
-        .copied()
-        .filter(|a| priv_arrays.contains(a))
-        .collect();
-    for &arr in &live_priv {
-        let decl = spec.array(arr);
-        ms.alloc_array(
-            scratch_id(arr),
-            decl.len,
-            decl.elem,
-            PlacementPolicy::RoundRobin,
-        );
-        image.register(scratch_id(arr), decl.len);
-    }
-
-    let mut accum = Accum::new(procs as usize);
-    let mut sched = make_sched(spec.schedule, spec.iters, procs, &cfg);
-    let mut exec = Executor::new(
-        &cfg,
-        &mut ms,
-        &mut image,
-        vec![spec.body.clone(); procs as usize],
-        sched.as_mut(),
-    )
-    .route_privatized(true);
-    for &arr in &priv_arrays {
-        for p in 0..procs {
-            exec = exec.track_copy_out(private_copy_id(arr, ProcId(p)), arr);
-        }
-    }
-    let summary = exec.run();
-    assert_eq!(summary.end, ExecEnd::Completed, "ideal run cannot fail");
-    accum.absorb(&summary);
-
-    copy_out_phase(
-        spec,
-        &cfg,
-        &mut ms,
-        &mut image,
-        &mut accum,
-        &live_priv,
-        &summary.winners,
-        true,
-    );
-
-    RunResult {
-        scenario: Scenario::Ideal,
-        name: spec.name.clone(),
-        total_cycles: accum.now,
-        breakdown: accum.average(),
-        passed: None,
-        failure: None,
-        iterations: summary.iterations,
-        final_image: image,
-        stats: ms.stats().clone(),
-        net: ms.net_summary(),
-        trace: ms.take_event_trace(),
-    }
-}
-
-// ----------------------------------------------------------------------
-// Shared phases
-// ----------------------------------------------------------------------
-
-/// Runs a copy loop `dst[off+e] = src[off+e]` over `len` elements in
-/// parallel.
-fn copy_phase(
-    cfg: &MachineConfig,
-    ms: &mut MemSystem,
-    image: &mut MemoryImage,
-    accum: &mut Accum,
-    src: ArrayId,
-    dst: ArrayId,
-    region: (u64, u64),
-) {
-    let (off, len) = region;
-    let procs = ms.procs();
-    let body = copy_body_region(src, dst, off);
-    let mut sched = StaticChunked::new(len, procs, cfg.sched_static_overhead);
-    let summary = Executor::new(cfg, ms, image, vec![body; procs as usize], &mut sched)
-        .starting_at(accum.now)
-        .run();
-    assert_eq!(summary.end, ExecEnd::Completed);
-    accum.absorb(&summary);
-}
-
-/// The backup phase. Densely-backed arrays are copied up front; sparsely-
-/// backed arrays (§2.2.1's save-on-first-write) cost nothing here — the
-/// hardware/software saves each element's old value alongside its first
-/// write, which our model folds into the write itself — and are captured
-/// functionally for the restore path.
-///
-/// Returns `(dense arrays, sparse arrays, functional snapshot of sparse)`.
-fn backup_phase(
-    spec: &LoopSpec,
-    cfg: &MachineConfig,
-    ms: &mut MemSystem,
-    image: &mut MemoryImage,
-    accum: &mut Accum,
-) -> (Vec<ArrayId>, Vec<ArrayId>, ArrayBackup) {
-    let _prof = specrt_prof::scope("machine.backup");
-    let mut dense = Vec::new();
-    let mut sparse = Vec::new();
-    for arr in spec.backup_arrays() {
-        if spec.array(arr).sparse_backup {
-            sparse.push(arr);
-        } else {
-            dense.push(arr);
-        }
-    }
-    for &arr in &dense {
-        let decl = spec.array(arr);
-        copy_phase(
-            cfg,
-            ms,
-            image,
-            accum,
-            arr,
-            backup_id(arr),
-            decl.backup_elems(),
-        );
-    }
-    let snapshot = image.snapshot(&sparse);
-    (dense, sparse, snapshot)
-}
-
-/// The restore phase: dense arrays copy their backup region back; sparse
-/// arrays restore only the elements that were actually written (counts
-/// taken from the executor's write tracking).
-#[allow(clippy::too_many_arguments)]
-fn restore_phase(
-    spec: &LoopSpec,
-    cfg: &MachineConfig,
-    ms: &mut MemSystem,
-    image: &mut MemoryImage,
-    accum: &mut Accum,
-    dense: &[ArrayId],
-    sparse_counts: &[(ArrayId, u64)],
-    sparse_snapshot: &ArrayBackup,
-) {
-    let _prof = specrt_prof::scope("machine.restore");
-    for &arr in dense {
-        let decl = spec.array(arr);
-        copy_phase(
-            cfg,
-            ms,
-            image,
-            accum,
-            backup_id(arr),
-            arr,
-            decl.backup_elems(),
-        );
-    }
-    for &(arr, count) in sparse_counts {
-        if count > 0 {
-            // Timing: copy `count` saved elements back; functionally the
-            // snapshot below reinstates the exact old values.
-            copy_phase(cfg, ms, image, accum, backup_id(arr), arr, (0, count));
-        }
-    }
-    image.restore(sparse_snapshot);
-}
-
-/// Elements of `arr` recorded as written in the executor's tracking map.
-fn written_count(
-    winners: &std::collections::BTreeMap<(ArrayId, u64), (u64, Scalar)>,
-    arr: ArrayId,
-) -> u64 {
-    winners.keys().filter(|(a, _)| *a == arr).count() as u64
-}
+/// A last-writer map: `(array, element) → (stamp, value)` of the
+/// highest-stamped write to each element.
+type Winners = BTreeMap<(ArrayId, u64), (u64, Scalar)>;
 
 /// Merges one window's last-writer map into the run's accumulated one:
 /// the higher stamp (`iteration + 1`) wins. Windows partition the
@@ -577,10 +235,7 @@ fn written_count(
 /// the merge order-independent: no window arrival order, host hash seed,
 /// or `--jobs` schedule can leak into verdicts, stats, or images (pinned
 /// by `winner_merge_tests`).
-fn merge_winners(
-    into: &mut std::collections::BTreeMap<(ArrayId, u64), (u64, Scalar)>,
-    from: &std::collections::BTreeMap<(ArrayId, u64), (u64, Scalar)>,
-) {
+fn merge_winners(into: &mut Winners, from: &Winners) {
     for (k, v) in from {
         let e = into.entry(*k).or_insert(*v);
         if v.0 >= e.0 {
@@ -589,265 +244,412 @@ fn merge_winners(
     }
 }
 
-/// The copy-out phase: timed as a parallel copy of each live privatized
-/// array; functionally, the tracked last-writer values are applied.
-#[allow(clippy::too_many_arguments)]
-fn copy_out_phase(
-    spec: &LoopSpec,
-    cfg: &MachineConfig,
-    ms: &mut MemSystem,
-    image: &mut MemoryImage,
-    accum: &mut Accum,
-    live_priv: &[ArrayId],
-    winners: &std::collections::BTreeMap<(ArrayId, u64), (u64, Scalar)>,
-    hw_private_src: bool,
-) {
-    let _prof = specrt_prof::scope("machine.copy_out");
-    for &arr in live_priv {
-        let decl = spec.array(arr);
-        // Timing: each processor copies its slice from its own private copy
-        // into a scratch array with the same distribution as the original;
-        // functionally the last-writer values are applied below, so the
-        // scratch contents are snapshot-restored.
-        let snapshot = image.contents(scratch_id(arr));
-        let src = if hw_private_src {
-            private_copy_id(arr, ProcId(0))
-        } else {
-            sw_private_copy_id(arr, ProcId(0))
-        };
-        copy_phase(cfg, ms, image, accum, src, scratch_id(arr), (0, decl.len));
-        image.set_contents(scratch_id(arr), snapshot);
-        for (&(warr, idx), &(_, value)) in winners {
-            if warr == arr {
-                image.write(arr, idx, value);
+/// What the backup phase saved: the densely-backed arrays (copied up
+/// front), the sparsely-backed ones, and a functional snapshot of the
+/// sparse arrays for the restore path.
+struct Backup {
+    dense: Vec<ArrayId>,
+    sparse: Vec<ArrayId>,
+    snapshot: ArrayBackup,
+}
+
+/// The simulated machine one scenario runs on: its memory system, its
+/// functional memory image, and the time and Busy/Sync/Mem breakdown
+/// every phase so far has accumulated.
+struct Machine<'s> {
+    spec: &'s LoopSpec,
+    cfg: MachineConfig,
+    ms: PooledMem,
+    image: MemoryImage,
+    accum: Accum,
+}
+
+impl<'s> Machine<'s> {
+    /// Leases a machine for `cfg` and registers the loop's arrays on it,
+    /// plus the barrier's synchronization words. The arrays start from
+    /// `source` (a re-execution restarting from a restored or checkpointed
+    /// image) or, without one, from the loop's initial values: that is a
+    /// run's initial set-up, the work `machine.setup` times. Event tracing
+    /// is on whenever `cfg` asks for it.
+    fn fresh(
+        spec: &'s LoopSpec,
+        cfg: MachineConfig,
+        source: Option<&MemoryImage>,
+        placement: PlacementPolicy,
+    ) -> Self {
+        let mut ms = crate::pool::lease(cfg.mem);
+        if cfg.trace_capacity > 0 {
+            ms.enable_event_trace(cfg.trace_capacity);
+            ms.set_net_trace(cfg.trace_net);
+        }
+        let _prof = source
+            .is_none()
+            .then(|| specrt_prof::scope("machine.setup"));
+        let mut image = MemoryImage::new();
+        for a in &spec.arrays {
+            ms.alloc_array(a.id, a.len, a.elem, placement);
+            let init = source.map_or_else(|| a.padded_init(), |s| s.contents(a.id));
+            image.register_with(a.id, init);
+        }
+        // Synchronization infrastructure: barrier counter + sense flag.
+        ms.alloc_array(
+            crate::exec::BARRIER_ARRAY,
+            2,
+            ElemSize::W8,
+            PlacementPolicy::Local(NodeId(0)),
+        );
+        image.register(crate::exec::BARRIER_ARRAY, 2);
+        Machine {
+            spec,
+            cfg,
+            ms,
+            image,
+            accum: Accum::new(cfg.procs() as usize),
+        }
+    }
+
+    /// A fresh one-processor machine with all data local to it, under
+    /// plain coherence.
+    fn serial(spec: &'s LoopSpec, mut cfg: MachineConfig, source: Option<&MemoryImage>) -> Self {
+        cfg.mem.procs = 1;
+        let mut m = Machine::fresh(spec, cfg, source, PlacementPolicy::Local(NodeId(0)));
+        m.ms.configure_loop(TestPlan::new(), IterationNumbering::iteration_wise());
+        m
+    }
+
+    /// The run's result: everything the machine accumulated, with the
+    /// verdict (`None` for the untested scenarios) and the statistics the
+    /// scenario reports.
+    fn finish(
+        mut self,
+        scenario: Scenario,
+        verdict: Option<Result<(), String>>,
+        iterations: u64,
+        stats: StatSet,
+    ) -> RunResult {
+        RunResult {
+            scenario,
+            name: self.spec.name.clone(),
+            total_cycles: self.accum.now,
+            breakdown: self.accum.average(),
+            passed: verdict.as_ref().map(Result::is_ok),
+            failure: verdict.and_then(Result::err),
+            iterations,
+            final_image: self.image,
+            stats,
+            net: self.ms.net_summary(),
+            trace: self.ms.take_event_trace(),
+        }
+    }
+
+    /// An executor for `programs` on this machine, starting now.
+    fn executor<'m>(
+        &'m mut self,
+        programs: Vec<Program>,
+        sched: &'m mut dyn Scheduler,
+    ) -> Executor<'m> {
+        Executor::new(&self.cfg, &mut self.ms, &mut self.image, programs, sched)
+            .starting_at(self.accum.now)
+    }
+
+    /// Runs one phase that cannot fail and charges its time.
+    fn phase(&mut self, programs: Vec<Program>, sched: &mut dyn Scheduler) -> ExecSummary {
+        let summary = self.executor(programs, sched).run();
+        assert_eq!(summary.end, ExecEnd::Completed, "phase cannot fail");
+        self.accum.absorb(&summary);
+        summary
+    }
+
+    /// Runs iterations `[start, spec.iters)` on processor 0.
+    fn run_serially(&mut self, start: u64) -> ExecSummary {
+        let inner = StaticChunked::new(self.spec.iters - start, 1, self.cfg.sched_static_overhead);
+        let mut sched = Windowed::new(Box::new(inner), start);
+        self.phase(vec![self.spec.body.clone()], &mut sched)
+    }
+
+    /// Runs a copy loop `dst[off+e] = src[off+e]` over `len` elements in
+    /// parallel.
+    fn copy(&mut self, src: ArrayId, dst: ArrayId, region: (u64, u64)) {
+        let (off, len) = region;
+        let procs = self.ms.procs();
+        let mut sched = StaticChunked::new(len, procs, self.cfg.sched_static_overhead);
+        let body = copy_body_region(src, dst, off);
+        self.phase(vec![body; procs as usize], &mut sched);
+    }
+
+    /// Registers backup and scratch allocations used by the speculative
+    /// scenarios. Returns the live privatized arrays.
+    fn setup_speculative_storage(&mut self) -> Vec<ArrayId> {
+        let _prof = specrt_prof::scope("machine.setup");
+        let spec = self.spec;
+        let live_priv: Vec<ArrayId> = spec
+            .live_after
+            .iter()
+            .copied()
+            .filter(|&a| spec.plan.kind_of(a).is_privatized())
+            .collect();
+        let backups = spec.backup_arrays().into_iter().map(|a| (a, backup_id(a)));
+        let scratch = live_priv.iter().map(|&a| (a, scratch_id(a)));
+        for (arr, id) in backups.chain(scratch) {
+            let decl = spec.array(arr);
+            self.ms
+                .alloc_array(id, decl.len, decl.elem, PlacementPolicy::RoundRobin);
+            self.image.register(id, decl.len);
+        }
+        live_priv
+    }
+
+    /// Registers each processor's private copy of every privatized array.
+    fn register_private_copies(&mut self) {
+        for arr in self.spec.plan.priv_arrays() {
+            for p in 0..self.ms.procs() {
+                let id = private_copy_id(arr, ProcId(p));
+                self.image.register(id, self.spec.array(arr).len);
             }
+        }
+    }
+
+    /// The backup phase. Densely-backed arrays are copied up front;
+    /// sparsely-backed arrays (§2.2.1's save-on-first-write) cost nothing
+    /// here — the hardware/software saves each element's old value
+    /// alongside its first write, which our model folds into the write
+    /// itself — and are captured functionally for the restore path.
+    fn backup(&mut self) -> Backup {
+        let _prof = specrt_prof::scope("machine.backup");
+        let spec = self.spec;
+        let (sparse, dense): (Vec<ArrayId>, Vec<ArrayId>) = spec
+            .backup_arrays()
+            .into_iter()
+            .partition(|&arr| spec.array(arr).sparse_backup);
+        for &arr in &dense {
+            self.copy(arr, backup_id(arr), spec.array(arr).backup_elems());
+        }
+        let snapshot = self.image.snapshot(&sparse);
+        Backup {
+            dense,
+            sparse,
+            snapshot,
+        }
+    }
+
+    /// Rolls a failed speculation back to the backups: dense arrays copy
+    /// their backup region back; sparse arrays restore only the elements
+    /// the speculation wrote (`winners` records them), timed as that many
+    /// copies, while the snapshot reinstates their exact old values.
+    fn rollback(&mut self, backup: &Backup, winners: &Winners) {
+        let _prof = specrt_prof::scope("machine.restore");
+        for &arr in &backup.dense {
+            self.copy(backup_id(arr), arr, self.spec.array(arr).backup_elems());
+        }
+        for &arr in &backup.sparse {
+            let count = winners.keys().filter(|(a, _)| *a == arr).count() as u64;
+            if count > 0 {
+                self.copy(backup_id(arr), arr, (0, count));
+            }
+        }
+        self.image.restore(&backup.snapshot);
+    }
+
+    /// The copy-out phase: timed as a parallel copy of each live
+    /// privatized array; functionally, the tracked last-writer values are
+    /// applied.
+    fn copy_out(&mut self, live_priv: &[ArrayId], winners: &Winners, hw_private_src: bool) {
+        let _prof = specrt_prof::scope("machine.copy_out");
+        for &arr in live_priv {
+            // Timing: each processor copies its slice from its own private
+            // copy into a scratch array with the same distribution as the
+            // original; functionally the last-writer values are applied
+            // below, so the scratch contents are snapshot-restored.
+            let snapshot = self.image.contents(scratch_id(arr));
+            let src = if hw_private_src {
+                private_copy_id(arr, ProcId(0))
+            } else {
+                sw_private_copy_id(arr, ProcId(0))
+            };
+            self.copy(src, scratch_id(arr), (0, self.spec.array(arr).len));
+            self.image.set_contents(scratch_id(arr), snapshot);
+            for (&(warr, idx), &(_, value)) in winners {
+                if warr == arr {
+                    self.image.write(arr, idx, value);
+                }
+            }
+        }
+    }
+
+    /// Serial re-execution after a failed speculation, on an untraced
+    /// one-processor machine with local data, matching the paper's
+    /// accounting ("the HW execution time includes the parallel execution
+    /// up to when the dependence is detected … plus the Serial time",
+    /// §6.2). Re-runs `[start, spec.iters)` from this machine's image — the
+    /// whole loop after a rollback, or only the suffix a checkpoint does
+    /// not cover — and copies the results back.
+    fn serial_reexec(&mut self, start: u64) {
+        let _prof = specrt_prof::scope("machine.serial_reexec");
+        let mut cfg = self.cfg;
+        cfg.trace_capacity = 0;
+        let mut serial = Machine::serial(self.spec, cfg, Some(&self.image));
+        serial.run_serially(start);
+        self.accum.now += serial.accum.now;
+        // The serial portion is wall-clock for the whole machine: fold it
+        // into every processor so the averaged breakdown reflects it fully.
+        for bd in &mut self.accum.per_proc {
+            *bd = bd.merged(&serial.accum.per_proc[0]);
+        }
+        for a in &self.spec.arrays {
+            self.image.set_contents(a.id, serial.image.contents(a.id));
         }
     }
 }
 
-/// Registers backup and scratch allocations used by the speculative
-/// scenarios. Returns `(backup arrays, live privatized arrays)`.
-fn setup_speculative_storage(
-    spec: &LoopSpec,
-    ms: &mut MemSystem,
-    image: &mut MemoryImage,
-) -> (Vec<ArrayId>, Vec<ArrayId>) {
-    let _prof = specrt_prof::scope("machine.setup");
-    let backups = spec.backup_arrays();
-    for &arr in &backups {
-        let decl = spec.array(arr);
-        ms.alloc_array(
-            backup_id(arr),
-            decl.len,
-            decl.elem,
-            PlacementPolicy::RoundRobin,
-        );
-        image.register(backup_id(arr), decl.len);
+// ----------------------------------------------------------------------
+// Serial
+// ----------------------------------------------------------------------
+
+fn run_serial(spec: &LoopSpec, cfg: MachineConfig) -> RunResult {
+    let mut m = Machine::serial(spec, cfg, None);
+    let summary = m.run_serially(0);
+    let stats = m.ms.stats().clone();
+    m.finish(Scenario::Serial, None, summary.iterations, stats)
+}
+
+// ----------------------------------------------------------------------
+// Ideal
+// ----------------------------------------------------------------------
+
+fn run_ideal(spec: &LoopSpec, cfg: MachineConfig) -> RunResult {
+    let procs = cfg.procs();
+    let mut m = Machine::fresh(spec, cfg, None, PlacementPolicy::RoundRobin);
+
+    // Privatized arrays keep their data path; non-privatized tested arrays
+    // revert to plain coherence; no test runs at all.
+    let mut plan = TestPlan::new();
+    for (arr, kind) in spec.plan.arrays_under_test() {
+        if kind.is_privatized() {
+            plan.set(arr, kind);
+        }
     }
+    let priv_arrays = plan.priv_arrays();
+    m.ms.configure_loop(plan, spec.numbering);
+    m.ms.set_test_enabled(false);
+    m.register_private_copies();
+    // Scratch arrays for copy-out timing.
     let live_priv: Vec<ArrayId> = spec
         .live_after
         .iter()
         .copied()
-        .filter(|&a| spec.plan.kind_of(a).is_privatized())
+        .filter(|a| priv_arrays.contains(a))
         .collect();
     for &arr in &live_priv {
         let decl = spec.array(arr);
-        ms.alloc_array(
+        m.ms.alloc_array(
             scratch_id(arr),
             decl.len,
             decl.elem,
             PlacementPolicy::RoundRobin,
         );
-        image.register(scratch_id(arr), decl.len);
+        m.image.register(scratch_id(arr), decl.len);
     }
-    (backups, live_priv)
+
+    let mut sched = make_sched(spec.schedule, spec.iters, procs, &cfg);
+    let mut exec = m
+        .executor(vec![spec.body.clone(); procs as usize], sched.as_mut())
+        .route_privatized(true);
+    for &arr in &priv_arrays {
+        for p in 0..procs {
+            exec = exec.track_copy_out(private_copy_id(arr, ProcId(p)), arr);
+        }
+    }
+    let summary = exec.run();
+    assert_eq!(summary.end, ExecEnd::Completed, "ideal run cannot fail");
+    m.accum.absorb(&summary);
+    m.copy_out(&live_priv, &summary.winners, true);
+    let stats = m.ms.stats().clone();
+    m.finish(Scenario::Ideal, None, summary.iterations, stats)
 }
 
 // ----------------------------------------------------------------------
 // HW
 // ----------------------------------------------------------------------
 
-/// A resumable prefix snapshotted at a window barrier: the first iteration
-/// the rerun must execute, the committed memory image, the accumulated
-/// last-writer map, and the iterations completed so far.
-type Checkpoint = (
-    u64,
-    MemoryImage,
-    std::collections::BTreeMap<(ArrayId, u64), (u64, Scalar)>,
-    u64,
-);
-
-/// Checkpoint ring depth: recovery restores the most recent entry; older
-/// entries are bounded so a long loop cannot accumulate unbounded snapshot
-/// state.
-const CKPT_RING: usize = 4;
-
-/// What a successful checkpoint rerun hands back to `run_hw`: finish time,
-/// per-processor breakdowns, final image, last-writer map, iterations run,
-/// and the rerun machine's protocol statistics.
-type CkptRerun = (
-    Cycles,
-    Vec<TimeBreakdown>,
-    MemoryImage,
-    std::collections::BTreeMap<(ArrayId, u64), (u64, Scalar)>,
-    u64,
-    StatSet,
-);
-
-/// Re-runs the lost iterations `[start, spec.iters)` speculatively on a
-/// fresh `survivors`-processor machine seeded from the committed checkpoint
-/// image. The suspected node is fenced out and the survivors restart on a
-/// fault-free interconnect — re-injecting the same deterministic node fault
-/// would kill every recovery attempt (DESIGN.md §16 records the
-/// simplification). Returns `None` when the rerun fails again (a
-/// deterministic dependence violation in the suffix); the caller then
-/// re-executes the same suffix serially.
-fn checkpoint_rerun(
-    spec: &LoopSpec,
-    restored: &MemoryImage,
+/// A resumable prefix snapshotted at a window barrier.
+struct Checkpoint {
+    /// First iteration the rerun must execute.
     start: u64,
-    mut cfg: MachineConfig,
-    survivors: u32,
-) -> Option<CkptRerun> {
-    let _prof = specrt_prof::scope("machine.ckpt_rerun");
-    cfg.mem.procs = survivors;
-    cfg.mem.net.faults = FaultConfig::none();
-    cfg.trace_capacity = 0;
-    let mut ms = crate::pool::lease(cfg.mem);
-    let mut image = MemoryImage::new();
-    for a in &spec.arrays {
-        ms.alloc_array(a.id, a.len, a.elem, PlacementPolicy::RoundRobin);
-        image.register_with(a.id, restored.contents(a.id));
-    }
-    ms.alloc_array(
-        crate::exec::BARRIER_ARRAY,
-        2,
-        ElemSize::W8,
-        PlacementPolicy::Local(NodeId(0)),
-    );
-    image.register(crate::exec::BARRIER_ARRAY, 2);
-    let priv_arrays = spec.plan.priv_arrays();
-    for &arr in &priv_arrays {
-        for p in 0..survivors {
-            image.register(private_copy_id(arr, ProcId(p)), spec.array(arr).len);
-        }
-    }
-    ms.configure_loop(spec.plan.clone(), spec.numbering);
-    // Stamps restart relative to the checkpoint, exactly as the original
-    // machine's window barrier would have left them.
-    ms.reset_stamp_window(start);
-    let sparse: Vec<ArrayId> = spec
-        .backup_arrays()
-        .into_iter()
-        .filter(|&a| spec.array(a).sparse_backup)
-        .collect();
-    let inner = make_sched(spec.schedule, spec.iters - start, survivors, &cfg);
-    let mut sched = crate::sched::Windowed::new(inner, start);
-    let mut exec = Executor::new(
-        &cfg,
-        &mut ms,
-        &mut image,
-        vec![spec.body.clone(); survivors as usize],
-        &mut sched,
-    )
-    .route_privatized(true)
-    .speculative(true);
-    for &arr in &priv_arrays {
-        for p in 0..survivors {
-            exec = exec.track_copy_out(private_copy_id(arr, ProcId(p)), arr);
-        }
-    }
-    for &arr in &sparse {
-        exec = exec.track_copy_out(arr, arr);
-    }
-    let summary = exec.run();
-    ms.drain_all_messages();
-    if matches!(summary.end, ExecEnd::Completed) {
-        ms.merge_dirty_tags(summary.finish_time);
-    }
-    if !matches!(summary.end, ExecEnd::Completed) || ms.failure().is_some() {
-        return None;
-    }
-    let stats = ms.stats().clone();
-    Some((
-        summary.finish_time,
-        summary.per_proc,
-        image,
-        summary.winners,
-        summary.iterations,
-        stats,
-    ))
+    /// The committed memory image.
+    image: MemoryImage,
+    /// The committed prefix's last-writer map.
+    winners: Winners,
+    /// Iterations completed before the barrier.
+    iterations: u64,
 }
 
-fn run_hw(spec: &LoopSpec, cfg: MachineConfig) -> RunResult {
-    let procs = cfg.procs();
-    let mut ms = crate::pool::lease(cfg.mem);
-    if cfg.trace_capacity > 0 {
-        ms.enable_event_trace(cfg.trace_capacity);
-        ms.set_net_trace(cfg.trace_net);
-    }
-    let mut image = MemoryImage::new();
-    setup_arrays(spec, &mut ms, &mut image, false);
-    let (_backups, live_priv) = setup_speculative_storage(spec, &mut ms, &mut image);
-    let mut accum = Accum::new(procs as usize);
+/// Snapshot state of a `CheckpointRestart` run.
+struct Checkpoints {
+    /// The most recent snapshot: the only one recovery rolls back to.
+    last: Option<Checkpoint>,
+    /// Pre-loop image, kept only to model the injected stale-snapshot bug
+    /// (the checkpoint analogue of forgetting to merge dirty-line tags):
+    /// snapshots record it instead of the committed image, and the
+    /// campaign's serial-oracle image check must flag the stale rollback.
+    stale: Option<MemoryImage>,
+}
 
-    // Phase 1: backup.
-    let (dense, sparse, sparse_snapshot) =
-        backup_phase(spec, &cfg, &mut ms, &mut image, &mut accum);
+/// The outcome of one speculative pass over the loop.
+struct Speculation {
+    /// Why the pass failed, if it did.
+    failed: Option<FailReason>,
+    /// Iterations executed (up to the abort).
+    iterations: u64,
+    /// Accumulated last-writer map.
+    winners: Winners,
+}
 
-    let priv_arrays = spec.plan.priv_arrays();
-    for &arr in &priv_arrays {
-        for p in 0..procs {
-            image.register(private_copy_id(arr, ProcId(p)), spec.array(arr).len);
-        }
-    }
-    // §3.3: if the stamps would overflow, run the loop in windows separated
-    // by all-processor synchronizations that reset the stamps.
-    let window = spec
-        .stamp_window
-        .filter(|_| !priv_arrays.is_empty())
-        .unwrap_or(spec.iters)
-        .max(1);
-    // Checkpoint cadence: under CheckpointRestart the loop always runs in
-    // windows of at most `every_iters`, so a window barrier — the quiescent
-    // point a checkpoint snapshots — occurs at least that often.
-    let ckpt_every = match cfg.recovery {
-        RecoveryPolicy::CheckpointRestart { checkpoint } => Some(checkpoint.every_iters.max(1)),
-        _ => None,
-    };
-    let window = ckpt_every.map_or(window, |every| window.min(every));
-    let mut ckpts: Vec<Checkpoint> = Vec::new();
-    // Pre-loop image, kept only to model the injected stale-snapshot bug
-    // (the checkpoint analogue of forgetting to merge dirty-line tags).
-    let stale_image = (ckpt_every.is_some()
-        && fault::active(fault::FaultKind::CkptSkipDirtySnapshot))
-    .then(|| image.clone());
+/// A checkpoint rerun that passed: its machine's time, image and
+/// statistics, and what it executed.
+struct CkptRerun {
+    accum: Accum,
+    image: MemoryImage,
+    stats: StatSet,
+    run: Speculation,
+}
 
-    // Speculative attempts: the paper's policy (SerialReexec) runs the loop
-    // once and falls straight back to serial re-execution on failure;
-    // RetrySpeculative restores the backups and re-runs the loop
-    // speculatively up to `retries` more times first — a transient failure
-    // (a lost message escalated by the watchdog) need not repeat, while a
-    // deterministic dependence violation burns the attempts and lands in
-    // the same serial safety net.
-    let retries = cfg.recovery.retries();
-    let mut attempt: u32 = 0;
-    let (failed, iterations, winners, stats) = loop {
-        // Phase 2: the speculative loop under the protocol extensions.
-        ms.configure_loop(spec.plan.clone(), spec.numbering);
-        let mut iterations = 0u64;
-        let mut winners: std::collections::BTreeMap<(ArrayId, u64), (u64, Scalar)> =
-            std::collections::BTreeMap::new();
+impl Machine<'_> {
+    /// One speculative pass over iterations `[first, spec.iters)` under the
+    /// protocol extensions, in windows of `window` iterations (§3.3: if the
+    /// stamps would overflow, the loop runs in windows separated by
+    /// all-processor synchronizations that reset them). Each barrier
+    /// between windows flushes the verdict, partially commits the prefix
+    /// and, with `ckpts`, snapshots it. Ends at the flushed verdict, with
+    /// the machine quiescent.
+    fn speculate(
+        &mut self,
+        first: u64,
+        window: u64,
+        mut ckpts: Option<&mut Checkpoints>,
+    ) -> Speculation {
+        let spec = self.spec;
+        let procs = self.ms.procs();
+        let priv_arrays = spec.plan.priv_arrays();
+        let sparse: Vec<ArrayId> = spec
+            .backup_arrays()
+            .into_iter()
+            .filter(|&a| spec.array(a).sparse_backup)
+            .collect();
+        let mut run = Speculation {
+            failed: None,
+            iterations: 0,
+            winners: Winners::new(),
+        };
         let mut loop_end = ExecEnd::Completed;
-        let mut start = 0u64;
+        let mut start = first;
         while start < spec.iters {
             let len = window.min(spec.iters - start);
-            if start > 0 {
+            if start > first {
                 // Synchronization point: all in-flight protocol messages
                 // land, the stamps reset, and a barrier separates the
                 // windows.
-                ms.drain_all_messages();
-                if let Some((reason, at)) = ms.failure() {
+                self.ms.drain_all_messages();
+                if let Some((reason, at)) = self.ms.failure() {
                     loop_end = ExecEnd::Failed { reason, at };
                     break;
                 }
@@ -855,12 +657,12 @@ fn run_hw(spec: &LoopSpec, cfg: MachineConfig) -> RunResult {
                 // must surface *before* the prefix is declared committed
                 // (and snapshotted) — the same merge the loop-end verdict
                 // does, at every barrier.
-                ms.merge_dirty_tags(accum.now);
-                if let Some((reason, at)) = ms.failure() {
+                self.ms.merge_dirty_tags(self.accum.now);
+                if let Some((reason, at)) = self.ms.failure() {
                     loop_end = ExecEnd::Failed { reason, at };
                     break;
                 }
-                ms.reset_stamp_window(start);
+                self.ms.reset_stamp_window(start);
                 // Partial commit (§3.3): fold the accumulated last-writer
                 // values of the privatized arrays into the shared image.
                 // The stamp reset wipes the private directories, so the
@@ -868,43 +670,30 @@ fn run_hw(spec: &LoopSpec, cfg: MachineConfig) -> RunResult {
                 // must hold every value the committed prefix wrote, or a
                 // processor re-reads-in stale data over its own
                 // earlier-window private write.
-                for (&(arr, idx), &(_, value)) in &winners {
-                    image.write(arr, idx, value);
+                for (&(arr, idx), &(_, value)) in &run.winners {
+                    self.image.write(arr, idx, value);
                 }
-                accum.now += Cycles(cfg.barrier_overhead);
-                if ckpt_every.is_some() {
-                    // Snapshot the committed prefix (the winner values are
-                    // already folded into the image at this barrier), the
-                    // winner map, and the iteration count. The injected
-                    // `CkptSkipDirtySnapshot` bug records the pre-loop
-                    // image instead; the campaign's serial-oracle image
-                    // check must flag the stale rollback it causes.
-                    let snap = match &stale_image {
-                        Some(stale) => stale.clone(),
-                        None => image.clone(),
-                    };
-                    if ckpts.len() == CKPT_RING {
-                        ckpts.remove(0);
-                    }
-                    ckpts.push((start, snap, winners.clone(), iterations));
-                    ms.incr_stat("checkpoint.snapshots");
+                self.accum.now += Cycles(self.cfg.barrier_overhead);
+                if let Some(ckpts) = ckpts.as_deref_mut() {
+                    // Snapshot the committed prefix: the winner values are
+                    // already folded into the image at this barrier.
+                    ckpts.last = Some(Checkpoint {
+                        start,
+                        image: ckpts.stale.as_ref().unwrap_or(&self.image).clone(),
+                        winners: run.winners.clone(),
+                        iterations: run.iterations,
+                    });
+                    self.ms.incr_stat("checkpoint.snapshots");
                     // Committing the snapshot to safe storage costs one
                     // more barrier episode on top of the window barrier.
-                    accum.now += Cycles(cfg.barrier_overhead);
+                    self.accum.now += Cycles(self.cfg.barrier_overhead);
                 }
             }
-            let inner = make_sched(spec.schedule, len, procs, &cfg);
-            let mut sched = crate::sched::Windowed::new(inner, start);
-            let mut exec = Executor::new(
-                &cfg,
-                &mut ms,
-                &mut image,
-                vec![spec.body.clone(); procs as usize],
-                &mut sched,
-            )
-            .route_privatized(true)
-            .speculative(true)
-            .starting_at(accum.now);
+            let mut sched = Windowed::new(make_sched(spec.schedule, len, procs, &self.cfg), start);
+            let mut exec = self
+                .executor(vec![spec.body.clone(); procs as usize], &mut sched)
+                .route_privatized(true)
+                .speculative(true);
             for &arr in &priv_arrays {
                 for p in 0..procs {
                     exec = exec.track_copy_out(private_copy_id(arr, ProcId(p)), arr);
@@ -914,20 +703,20 @@ fn run_hw(spec: &LoopSpec, cfg: MachineConfig) -> RunResult {
                 exec = exec.track_copy_out(arr, arr);
             }
             let summary = exec.run();
-            accum.absorb(&summary);
-            iterations += summary.iterations;
-            merge_winners(&mut winners, &summary.winners);
+            self.accum.absorb(&summary);
+            run.iterations += summary.iterations;
+            merge_winners(&mut run.winners, &summary.winners);
             if let ExecEnd::Failed { reason, at } = summary.end {
                 loop_end = ExecEnd::Failed { reason, at };
                 break;
             }
             start += len;
         }
-        ms.drain_all_messages();
+        self.ms.drain_all_messages();
         // Quiescent point: every protocol message has landed; the directory
         // and cache views must agree before the verdict is read.
         #[cfg(debug_assertions)]
-        ms.assert_invariants();
+        self.ms.assert_invariants();
         // Flushed-verdict semantics (paper §4, flush-after-every-loop): a
         // dirty line's locally accumulated access bits never reached the
         // directory, so a conflict hidden by a silent dirty-hit write could
@@ -935,261 +724,195 @@ fn run_hw(spec: &LoopSpec, cfg: MachineConfig) -> RunResult {
         // eviction, no timing charge) before reading the verdict. A run
         // that already failed promptly skips the merge — its verdict is
         // settled and the failure state must not be perturbed.
-        if matches!(loop_end, ExecEnd::Completed) {
-            ms.merge_dirty_tags(accum.now);
-        }
-
-        let late_failure = match (&loop_end, ms.failure()) {
-            (ExecEnd::Completed, Some((reason, at))) => Some((reason, at.max(accum.now))),
-            _ => None,
-        };
-        let failed = match (&loop_end, late_failure) {
-            (ExecEnd::Failed { reason, .. }, _) => Some(*reason),
-            (_, Some((reason, at))) => {
-                accum.now = accum.now.max(at + Cycles(cfg.abort_latency));
-                Some(reason)
+        run.failed = match loop_end {
+            ExecEnd::Failed { reason, .. } => Some(reason),
+            ExecEnd::Completed => {
+                self.ms.merge_dirty_tags(self.accum.now);
+                self.ms.failure().map(|(reason, at)| {
+                    self.accum.now = at.max(self.accum.now) + Cycles(self.cfg.abort_latency);
+                    reason
+                })
             }
-            _ => None,
         };
+        run
+    }
 
-        let stats = ms.stats().clone();
-        // Post-loop phases (restore / copy-out / serial fallback) run under
-        // plain coherence.
-        ms.configure_loop(TestPlan::new(), IterationNumbering::iteration_wise());
-
-        match failed {
-            None => break (None, iterations, winners, stats),
-            Some(reason) if attempt >= retries => break (Some(reason), iterations, winners, stats),
-            Some(_) => {}
-        }
-        // Retry path: restore the backups (costed like any abort), re-arm
-        // the speculation hardware, and go around again.
-        attempt += 1;
-        let sparse_counts: Vec<(ArrayId, u64)> = sparse
-            .iter()
-            .map(|&a| (a, written_count(&winners, a)))
-            .collect();
-        restore_phase(
-            spec,
-            &cfg,
-            &mut ms,
-            &mut image,
-            &mut accum,
-            &dense,
-            &sparse_counts,
-            &sparse_snapshot,
+    /// Re-runs the lost iterations `[start, spec.iters)` speculatively, as
+    /// one window with no snapshots, on a fresh `survivors`-processor
+    /// machine seeded from this machine's image (the restored checkpoint).
+    /// The suspected node is fenced out and the survivors restart on a
+    /// fault-free, untraced interconnect — re-injecting the same
+    /// deterministic node fault would kill every recovery attempt
+    /// (DESIGN.md §16 records the simplification). Returns `None` when the
+    /// rerun fails again (a deterministic dependence violation in the
+    /// suffix); the caller then re-executes the same suffix serially.
+    fn checkpoint_rerun(&self, start: u64, survivors: u32) -> Option<CkptRerun> {
+        let _prof = specrt_prof::scope("machine.ckpt_rerun");
+        let mut cfg = self.cfg;
+        cfg.mem.procs = survivors;
+        cfg.mem.net.faults = FaultConfig::none();
+        cfg.trace_capacity = 0;
+        let mut rerun = Machine::fresh(
+            self.spec,
+            cfg,
+            Some(&self.image),
+            PlacementPolicy::RoundRobin,
         );
-        // Private copies restart clean, exactly as a fresh loop entry would
-        // see them (their read-in/copy-out decisions were wiped with the
-        // access bits).
-        for &arr in &priv_arrays {
-            for p in 0..procs {
-                let len = spec.array(arr).len as usize;
-                image.set_contents(private_copy_id(arr, ProcId(p)), vec![Scalar::ZERO; len]);
-            }
+        rerun.register_private_copies();
+        rerun
+            .ms
+            .configure_loop(self.spec.plan.clone(), self.spec.numbering);
+        // Stamps restart relative to the checkpoint, exactly as the
+        // original machine's window barrier would have left them.
+        rerun.ms.reset_stamp_window(start);
+        let run = rerun.speculate(start, self.spec.iters - start, None);
+        if run.failed.is_some() {
+            return None;
         }
-        ms.reset_speculation();
-        if ms.tracer().enabled() {
-            let at = accum.now;
-            ms.tracer_mut().emit(TraceEvent::Recovery {
+        Some(CkptRerun {
+            stats: rerun.ms.stats().clone(),
+            accum: rerun.accum,
+            image: rerun.image,
+            run,
+        })
+    }
+
+    /// Emits a `Recovery` trace event. Only the non-default recovery
+    /// policies emit them: the paper's `SerialReexec` baseline must stay
+    /// byte-identical to the pre-resilience golden traces.
+    fn note_recovery(&mut self, action: &'static str, attempt: u32) {
+        if !matches!(self.cfg.recovery, RecoveryPolicy::SerialReexec) && self.ms.tracer().enabled()
+        {
+            let at = self.accum.now;
+            self.ms.tracer_mut().emit(TraceEvent::Recovery {
                 at,
-                action: "retry-speculative",
+                action,
                 attempt,
             });
         }
+    }
+}
+
+/// The HW scenario as one phase loop: backup → speculative pass → verdict
+/// → copy-out on success; on failure, roll back to the backups and then
+/// retry speculatively (`RetrySpeculative`, while attempts remain), rerun
+/// the lost suffix from the last checkpoint (`CheckpointRestart`), or fall
+/// back to the paper's serial re-execution.
+fn run_hw(spec: &LoopSpec, cfg: MachineConfig) -> RunResult {
+    let procs = cfg.procs();
+    let mut m = Machine::fresh(spec, cfg, None, PlacementPolicy::RoundRobin);
+    let live_priv = m.setup_speculative_storage();
+    let backup = m.backup();
+    m.register_private_copies();
+
+    // Stamp windows (§3.3) only matter to privatized arrays. Under
+    // CheckpointRestart the loop always runs in windows of at most
+    // `every_iters`, so a window barrier — the quiescent point a
+    // checkpoint snapshots — occurs at least that often.
+    let mut window = spec
+        .stamp_window
+        .filter(|_| !spec.plan.priv_arrays().is_empty())
+        .unwrap_or(spec.iters)
+        .max(1);
+    let mut ckpts = match cfg.recovery {
+        RecoveryPolicy::CheckpointRestart { checkpoint } => {
+            window = window.min(checkpoint.every_iters.max(1));
+            Some(Checkpoints {
+                last: None,
+                stale: fault::active(fault::FaultKind::CkptSkipDirtySnapshot)
+                    .then(|| m.image.clone()),
+            })
+        }
+        _ => None,
     };
 
-    if let Some(reason) = failed {
+    // The paper's policy (SerialReexec) runs the loop once and falls
+    // straight back to serial re-execution on failure; RetrySpeculative
+    // re-runs it speculatively up to `retries` more times first — a
+    // transient failure (a lost message escalated by the watchdog) need
+    // not repeat, while a deterministic dependence violation burns the
+    // attempts and lands in the same serial safety net.
+    let retries = cfg.recovery.retries();
+    let mut attempt: u32 = 0;
+    let (failure, iterations, stats) = loop {
+        m.ms.configure_loop(spec.plan.clone(), spec.numbering);
+        let run = m.speculate(0, window, ckpts.as_mut());
+        let stats = m.ms.stats().clone();
+        // Post-loop phases (rollback / copy-out / re-execution) run under
+        // plain coherence.
+        m.ms.configure_loop(TestPlan::new(), IterationNumbering::iteration_wise());
+        let Some(reason) = run.failed else {
+            m.copy_out(&live_priv, &run.winners, true);
+            break (None, run.iterations, stats);
+        };
+
+        if attempt < retries {
+            // Retry: roll back, re-arm the speculation hardware, and go
+            // around again. Private copies restart clean, exactly as a
+            // fresh loop entry would see them (their read-in/copy-out
+            // decisions were wiped with the access bits).
+            attempt += 1;
+            m.rollback(&backup, &run.winners);
+            for arr in spec.plan.priv_arrays() {
+                let len = spec.array(arr).len as usize;
+                for p in 0..procs {
+                    let id = private_copy_id(arr, ProcId(p));
+                    m.image.set_contents(id, vec![Scalar::ZERO; len]);
+                }
+            }
+            m.ms.reset_speculation();
+            m.note_recovery("retry-speculative", attempt);
+            continue;
+        }
+
         // Checkpoint restart: roll back to the last window checkpoint and
         // re-run only the lost iterations — on the survivors when a node
         // was declared unreachable (its remaining chunk is redistributed by
         // the fresh schedule over `survivors` processors). The serial
-        // safety net only runs when no checkpoint precedes the failure, or
-        // when the rerun fails again — and then only over the lost suffix.
-        if let Some((ck_start, ck_image, ck_winners, ck_iters)) = ckpts.pop() {
-            if ms.tracer().enabled() {
-                let at = accum.now;
-                ms.tracer_mut().emit(TraceEvent::Recovery {
-                    at,
-                    action: "checkpoint-restart",
-                    attempt: attempt + 1,
-                });
-            }
-            ms.incr_stat("checkpoint.restores");
-            // Timed rollback: the same restore traffic any abort pays;
-            // functionally the checkpoint image then replaces the
-            // speculative one wholesale.
-            let sparse_counts: Vec<(ArrayId, u64)> = sparse
-                .iter()
-                .map(|&a| (a, written_count(&winners, a)))
-                .collect();
-            restore_phase(
-                spec,
-                &cfg,
-                &mut ms,
-                &mut image,
-                &mut accum,
-                &dense,
-                &sparse_counts,
-                &sparse_snapshot,
-            );
-            image = ck_image;
-            let survivors = match reason {
-                FailReason::NodeUnreachable { .. } => procs.saturating_sub(1).max(1),
-                _ => procs,
-            };
-            match checkpoint_rerun(spec, &image, ck_start, cfg, survivors) {
-                Some((
-                    rerun_time,
-                    rerun_bds,
-                    rerun_image,
-                    rerun_winners,
-                    rerun_iters,
-                    rerun_stats,
-                )) => {
-                    accum.now += rerun_time;
-                    for (bd, rb) in accum.per_proc.iter_mut().zip(&rerun_bds) {
-                        *bd = bd.merged(rb);
-                    }
-                    for a in &spec.arrays {
-                        image.set_contents(a.id, rerun_image.contents(a.id));
-                    }
-                    let mut all_winners = ck_winners;
-                    merge_winners(&mut all_winners, &rerun_winners);
-                    let mut stats = ms.stats().clone();
-                    stats.merge(&rerun_stats);
-                    copy_out_phase(
-                        spec,
-                        &cfg,
-                        &mut ms,
-                        &mut image,
-                        &mut accum,
-                        &live_priv,
-                        &all_winners,
-                        true,
-                    );
-                    return RunResult {
-                        scenario: Scenario::Hw,
-                        name: spec.name.clone(),
-                        total_cycles: accum.now,
-                        breakdown: accum.average(),
-                        passed: Some(true),
-                        failure: None,
-                        iterations: ck_iters + rerun_iters,
-                        final_image: image,
-                        stats,
-                        net: ms.net_summary(),
-                        trace: ms.take_event_trace(),
-                    };
-                }
-                None => {
-                    // The rerun failed again (a deterministic dependence
-                    // violation in the suffix): serial re-execution, but
-                    // only of the iterations the checkpoint does not cover.
-                    ms.incr_stat("checkpoint.serial_fallbacks");
-                    if ms.tracer().enabled() {
-                        let at = accum.now;
-                        ms.tracer_mut().emit(TraceEvent::Recovery {
-                            at,
-                            action: "serial-reexec",
-                            attempt: attempt + 1,
-                        });
-                    }
-                    let (serial_time, serial_bd, serial_image) =
-                        serial_reexec_from(spec, &image, ck_start, cfg);
-                    accum.now += serial_time;
-                    for bd in &mut accum.per_proc {
-                        *bd = bd.merged(&serial_bd);
-                    }
-                    for a in &spec.arrays {
-                        image.set_contents(a.id, serial_image.contents(a.id));
-                    }
-                    let stats = ms.stats().clone();
-                    return RunResult {
-                        scenario: Scenario::Hw,
-                        name: spec.name.clone(),
-                        total_cycles: accum.now,
-                        breakdown: accum.average(),
-                        passed: Some(false),
-                        failure: Some(reason.to_string()),
-                        iterations,
-                        final_image: image,
-                        stats,
-                        net: ms.net_summary(),
-                        trace: ms.take_event_trace(),
-                    };
-                }
-            }
-        }
-        // Failure path: restore + serial re-execution.
-        // The Recovery event is only emitted under the non-default recovery
-        // policies: the paper's SerialReexec baseline must stay
-        // byte-identical to the pre-resilience golden traces.
-        if !matches!(cfg.recovery, RecoveryPolicy::SerialReexec) && ms.tracer().enabled() {
-            let at = accum.now;
-            ms.tracer_mut().emit(TraceEvent::Recovery {
-                at,
-                action: "serial-reexec",
-                attempt,
-            });
-        }
-        let sparse_counts: Vec<(ArrayId, u64)> = sparse
-            .iter()
-            .map(|&a| (a, written_count(&winners, a)))
-            .collect();
-        restore_phase(
-            spec,
-            &cfg,
-            &mut ms,
-            &mut image,
-            &mut accum,
-            &dense,
-            &sparse_counts,
-            &sparse_snapshot,
-        );
-        let (serial_time, serial_bd, serial_image) = serial_reexec(spec, &image, cfg);
-        accum.now += serial_time;
-        // The serial portion is wall-clock for the whole machine: fold it
-        // into every processor so the averaged breakdown reflects it fully.
-        for bd in &mut accum.per_proc {
-            *bd = bd.merged(&serial_bd);
+        // safety net covers the rest: a failure no checkpoint precedes, or
+        // a rerun that fails again (then only over the lost suffix).
+        let Some(ckpt) = ckpts.as_mut().and_then(|c| c.last.take()) else {
+            m.note_recovery("serial-reexec", attempt);
+            m.rollback(&backup, &run.winners);
+            m.serial_reexec(0);
+            break (Some(reason), run.iterations, stats);
+        };
+        m.note_recovery("checkpoint-restart", attempt + 1);
+        m.ms.incr_stat("checkpoint.restores");
+        // Timed rollback: the same restore traffic any abort pays;
+        // functionally the checkpoint image then replaces the speculative
+        // one wholesale.
+        m.rollback(&backup, &run.winners);
+        m.image = ckpt.image;
+        let survivors = match reason {
+            FailReason::NodeUnreachable { .. } => procs.saturating_sub(1).max(1),
+            _ => procs,
+        };
+        let Some(rerun) = m.checkpoint_rerun(ckpt.start, survivors) else {
+            // The rerun failed again (a deterministic dependence violation
+            // in the suffix): serial re-execution, but only of the
+            // iterations the checkpoint does not cover.
+            m.ms.incr_stat("checkpoint.serial_fallbacks");
+            m.note_recovery("serial-reexec", attempt + 1);
+            m.serial_reexec(ckpt.start);
+            break (Some(reason), run.iterations, m.ms.stats().clone());
+        };
+        m.accum.now += rerun.accum.now;
+        for (bd, rb) in m.accum.per_proc.iter_mut().zip(&rerun.accum.per_proc) {
+            *bd = bd.merged(rb);
         }
         for a in &spec.arrays {
-            image.set_contents(a.id, serial_image.contents(a.id));
+            m.image.set_contents(a.id, rerun.image.contents(a.id));
         }
-        return RunResult {
-            scenario: Scenario::Hw,
-            name: spec.name.clone(),
-            total_cycles: accum.now,
-            breakdown: accum.average(),
-            passed: Some(false),
-            failure: Some(reason.to_string()),
-            iterations,
-            final_image: image,
-            stats,
-            net: ms.net_summary(),
-            trace: ms.take_event_trace(),
-        };
-    }
-
-    // Success path: copy-out.
-    copy_out_phase(
-        spec, &cfg, &mut ms, &mut image, &mut accum, &live_priv, &winners, true,
-    );
-
-    RunResult {
-        scenario: Scenario::Hw,
-        name: spec.name.clone(),
-        total_cycles: accum.now,
-        breakdown: accum.average(),
-        passed: Some(true),
-        failure: None,
-        iterations,
-        final_image: image,
-        stats,
-        net: ms.net_summary(),
-        trace: ms.take_event_trace(),
-    }
+        let mut winners = ckpt.winners;
+        merge_winners(&mut winners, &rerun.run.winners);
+        let mut stats = m.ms.stats().clone();
+        stats.merge(&rerun.stats);
+        m.copy_out(&live_priv, &winners, true);
+        break (None, ckpt.iterations + rerun.run.iterations, stats);
+    };
+    let verdict = failure.map_or(Ok(()), |reason| Err(reason.to_string()));
+    m.finish(Scenario::Hw, Some(verdict), iterations, stats)
 }
 
 // ----------------------------------------------------------------------
@@ -1198,15 +921,8 @@ fn run_hw(spec: &LoopSpec, cfg: MachineConfig) -> RunResult {
 
 fn run_sw(spec: &LoopSpec, cfg: MachineConfig, variant: SwVariant) -> RunResult {
     let procs = cfg.procs();
-    let mut ms = crate::pool::lease(cfg.mem);
-    if cfg.trace_capacity > 0 {
-        ms.enable_event_trace(cfg.trace_capacity);
-        ms.set_net_trace(cfg.trace_net);
-    }
-    let mut image = MemoryImage::new();
-    setup_arrays(spec, &mut ms, &mut image, false);
-    let (_backups, live_priv) = setup_speculative_storage(spec, &mut ms, &mut image);
-    let mut accum = Accum::new(procs as usize);
+    let mut m = Machine::fresh(spec, cfg, None, PlacementPolicy::RoundRobin);
+    let live_priv = m.setup_speculative_storage();
 
     let tested: Vec<(ArrayId, ProtocolKind)> = spec.plan.arrays_under_test().collect();
     let priv_arrays = spec.plan.priv_arrays();
@@ -1217,6 +933,7 @@ fn run_sw(spec: &LoopSpec, cfg: MachineConfig, variant: SwVariant) -> RunResult 
 
     // Allocate shadow arrays (node-local) and counters, plus software
     // private copies of privatized arrays.
+    let Machine { ms, image, .. } = &mut m;
     for &(arr, _) in &tested {
         let len = spec.array(arr).len;
         for p in 0..procs {
@@ -1265,8 +982,7 @@ fn run_sw(spec: &LoopSpec, cfg: MachineConfig, variant: SwVariant) -> RunResult 
     ms.configure_loop(TestPlan::new(), IterationNumbering::iteration_wise());
 
     // Phase 1: backup.
-    let (dense, sparse, sparse_snapshot) =
-        backup_phase(spec, &cfg, &mut ms, &mut image, &mut accum);
+    let backup = m.backup();
 
     // Phase 2: shadow zero-out (each processor clears its own shadows;
     // bitmap shadows clear 64 elements per store).
@@ -1284,11 +1000,7 @@ fn run_sw(spec: &LoopSpec, cfg: MachineConfig, variant: SwVariant) -> RunResult 
             })
             .collect();
         let mut sched = Replicated::new(units, procs, cfg.sched_static_overhead);
-        let summary = Executor::new(&cfg, &mut ms, &mut image, programs, &mut sched)
-            .starting_at(accum.now)
-            .run();
-        assert_eq!(summary.end, ExecEnd::Completed);
-        accum.absorb(&summary);
+        m.phase(programs, &mut sched);
     }
 
     // Phase 3: the marking loop.
@@ -1308,14 +1020,13 @@ fn run_sw(spec: &LoopSpec, cfg: MachineConfig, variant: SwVariant) -> RunResult 
         .map(|p| instrument_for_proc(&spec.body, &icfg, ProcId(p)))
         .collect();
     let mut sched = make_sched(schedule, spec.iters, procs, &cfg);
-    let mut exec =
-        Executor::new(&cfg, &mut ms, &mut image, programs, sched.as_mut()).starting_at(accum.now);
+    let mut exec = m.executor(programs, sched.as_mut());
     for &arr in &priv_arrays {
         for p in 0..procs {
             exec = exec.track_copy_out(sw_private_copy_id(arr, ProcId(p)), arr);
         }
     }
-    for &arr in &sparse {
+    for &arr in &backup.sparse {
         exec = exec.track_copy_out(arr, arr);
     }
     let summary = exec.run();
@@ -1324,7 +1035,7 @@ fn run_sw(spec: &LoopSpec, cfg: MachineConfig, variant: SwVariant) -> RunResult 
         ExecEnd::Completed,
         "SW marking loop runs to completion"
     );
-    accum.absorb(&summary);
+    m.accum.absorb(&summary);
 
     // Phase 4: merging + analysis (word-granular for bitmap shadows).
     for &(arr, _) in &tested {
@@ -1341,11 +1052,7 @@ fn run_sw(spec: &LoopSpec, cfg: MachineConfig, variant: SwVariant) -> RunResult 
             })
             .collect();
         let mut sched = StaticChunked::new(units, procs, cfg.sched_static_overhead);
-        let summary = Executor::new(&cfg, &mut ms, &mut image, programs, &mut sched)
-            .starting_at(accum.now)
-            .run();
-        assert_eq!(summary.end, ExecEnd::Completed);
-        accum.absorb(&summary);
+        m.phase(programs, &mut sched);
     }
 
     // Phase 5: the final reduction over the per-processor counters, run
@@ -1354,112 +1061,41 @@ fn run_sw(spec: &LoopSpec, cfg: MachineConfig, variant: SwVariant) -> RunResult 
         let all: Vec<ShadowIds> = (0..procs).map(|p| ShadowIds::new(arr, ProcId(p))).collect();
         let body = reduction_body(&all, reduce_id(arr), bitmap);
         let mut sched = crate::sched::SingleProc::new(procs as u64, cfg.sched_static_overhead);
-        let summary = Executor::new(
-            &cfg,
-            &mut ms,
-            &mut image,
-            vec![body; procs as usize],
-            &mut sched,
-        )
-        .starting_at(accum.now)
-        .run();
-        assert_eq!(summary.end, ExecEnd::Completed);
-        accum.absorb(&summary);
+        m.phase(vec![body; procs as usize], &mut sched);
     }
     // The verdict is read from the simulated machine's reduction output.
-    let mut verdicts = Vec::new();
+    let mut failing = Vec::new();
     for &(arr, kind) in &tested {
         let g = reduce_id(arr);
-        let atw = image.read(g, CNT_ATW).as_int();
-        let slot1 = image.read(g, CNT_ATM).as_int();
-        let bad_wr = image.read(g, CNT_BAD_WR).as_int() != 0;
-        let bad_np = image.read(g, CNT_BAD_NP).as_int() != 0;
+        let atw = m.image.read(g, CNT_ATW).as_int();
+        let slot1 = m.image.read(g, CNT_ATM).as_int();
+        let bad_wr = m.image.read(g, CNT_BAD_WR).as_int() != 0;
+        let bad_np = m.image.read(g, CNT_BAD_NP).as_int() != 0;
         // Test (c): no element written by two (super)iterations — expressed
         // as `Atw == Atm` for stamps, or directly as the absence of a
         // multi-writer overlap for bitmaps.
         let single_writers = if bitmap { slot1 == 0 } else { atw == slot1 };
-        let ok = if bad_wr {
-            false
-        } else if single_writers {
-            true
-        } else if kind.is_privatized() {
-            !bad_np
-        } else {
-            false
-        };
-        verdicts.push((arr, ok));
-    }
-    let passed = verdicts.iter().all(|&(_, ok)| ok);
-
-    let stats = ms.stats().clone();
-    if !passed {
-        let failing: Vec<String> = verdicts
-            .iter()
-            .filter(|&&(_, ok)| !ok)
-            .map(|&(a, _)| a.to_string())
-            .collect();
-        let sparse_counts: Vec<(ArrayId, u64)> = sparse
-            .iter()
-            .map(|&a| (a, written_count(&summary.winners, a)))
-            .collect();
-        restore_phase(
-            spec,
-            &cfg,
-            &mut ms,
-            &mut image,
-            &mut accum,
-            &dense,
-            &sparse_counts,
-            &sparse_snapshot,
-        );
-        let (serial_time, serial_bd, serial_image) = serial_reexec(spec, &image, cfg);
-        accum.now += serial_time;
-        for bd in &mut accum.per_proc {
-            *bd = bd.merged(&serial_bd);
+        let ok = !bad_wr && (single_writers || (kind.is_privatized() && !bad_np));
+        if !ok {
+            failing.push(arr.to_string());
         }
-        for a in &spec.arrays {
-            image.set_contents(a.id, serial_image.contents(a.id));
-        }
-        return RunResult {
-            scenario: Scenario::Sw(variant),
-            name: spec.name.clone(),
-            total_cycles: accum.now,
-            breakdown: accum.average(),
-            passed: Some(false),
-            failure: Some(format!("LRPD test failed for {}", failing.join(", "))),
-            iterations: summary.iterations,
-            final_image: image,
-            stats,
-            net: ms.net_summary(),
-            trace: ms.take_event_trace(),
-        };
     }
 
-    // Success path: copy-out.
-    copy_out_phase(
-        spec,
-        &cfg,
-        &mut ms,
-        &mut image,
-        &mut accum,
-        &live_priv,
-        &summary.winners,
-        false,
-    );
-
-    RunResult {
-        scenario: Scenario::Sw(variant),
-        name: spec.name.clone(),
-        total_cycles: accum.now,
-        breakdown: accum.average(),
-        passed: Some(true),
-        failure: None,
-        iterations: summary.iterations,
-        final_image: image,
+    let stats = m.ms.stats().clone();
+    let verdict = if failing.is_empty() {
+        m.copy_out(&live_priv, &summary.winners, false);
+        Ok(())
+    } else {
+        m.rollback(&backup, &summary.winners);
+        m.serial_reexec(0);
+        Err(format!("LRPD test failed for {}", failing.join(", ")))
+    };
+    m.finish(
+        Scenario::Sw(variant),
+        Some(verdict),
+        summary.iterations,
         stats,
-        net: ms.net_summary(),
-        trace: ms.take_event_trace(),
-    }
+    )
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ use specrt_machine::{
 use specrt_par::Lane;
 use specrt_proto::{NetConfig, NodeFaultConfig, NodeFaultKind};
 use specrt_spec::ProtocolKind;
-use specrt_workloads::{all_workloads, Scale};
+use specrt_workloads::{by_name, Scale};
 
 /// Protocol variant of a `case` request. Labels are the wire strings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -327,12 +327,8 @@ fn parse_workload(v: &Json) -> Result<Request, String> {
         .transpose()?
         .unwrap_or_else(|| "hw".to_string());
 
-    let mut workloads = all_workloads(scale);
-    let idx = workloads
-        .iter()
-        .position(|w| w.name == name)
+    let w = by_name(&name, scale)
         .ok_or_else(|| format!("unknown workload {name:?} (ocean|p3m|adm|track)"))?;
-    let w = workloads.swap_remove(idx);
 
     let scenario = match scenario_label.as_str() {
         "serial" => Scenario::Serial,
@@ -392,6 +388,11 @@ fn override_bool(v: &Json, key: &str) -> Result<bool, String> {
         .ok_or_else(|| format!("config.{key} must be a boolean"))
 }
 
+fn override_u32(v: &Json, key: &str) -> Result<u32, String> {
+    let n = override_u64(v, key)?;
+    u32::try_from(n).map_err(|_| format!("config.{key}={n} out of range (at most {})", u32::MAX))
+}
+
 fn override_ppm(v: &Json, key: &str) -> Result<u32, String> {
     let n = override_u64(v, key)?;
     u32::try_from(n)
@@ -412,7 +413,9 @@ fn override_ppm(v: &Json, key: &str) -> Result<u32, String> {
 /// from `node_fault_kind` (`crash`/`pause`/`partition`), `node_fault_node`,
 /// optional `node_fault_at_cycle` (default 0) and — for pause/partition —
 /// `node_fault_for_cycles`. `checkpoint_every` selects
-/// [`RecoveryPolicy::CheckpointRestart`] with that snapshot cadence.
+/// [`RecoveryPolicy::CheckpointRestart`] with that snapshot cadence and
+/// `retry_speculative` selects [`RecoveryPolicy::RetrySpeculative`]; a
+/// request may give only one of the two.
 pub fn apply_overrides(cfg: &mut MachineConfig, overrides: &Json) -> Result<(), String> {
     let fields = match overrides {
         Json::Obj(fields) => fields,
@@ -425,6 +428,13 @@ pub fn apply_overrides(cfg: &mut MachineConfig, overrides: &Json) -> Result<(), 
             return Err("config.procs must be in 1..=64".to_string());
         }
         cfg.mem.procs = p as u32;
+    }
+    // Each key selects a whole recovery policy; with both, the last one
+    // in the request would silently win.
+    if overrides.get("retry_speculative").is_some() && overrides.get("checkpoint_every").is_some() {
+        return Err(
+            "give either config.retry_speculative or config.checkpoint_every, not both".to_string(),
+        );
     }
     // Node-fault parts are assembled after the loop (the shape needs
     // several keys at once).
@@ -457,7 +467,7 @@ pub fn apply_overrides(cfg: &mut MachineConfig, overrides: &Json) -> Result<(), 
             "link_service" => cfg.mem.net.link_service = override_u64(val, k)?,
             "dirty_read_downgrades" => cfg.mem.dirty_read_downgrades = override_bool(val, k)?,
             "retry_timeout" => cfg.mem.retry.timeout = override_u64(val, k)?.max(1),
-            "retry_max_retries" => cfg.mem.retry.max_retries = override_u64(val, k)? as u32,
+            "retry_max_retries" => cfg.mem.retry.max_retries = override_u32(val, k)?,
             "write_buffer" => cfg.write_buffer = override_u64(val, k)?.max(1) as usize,
             "barrier_overhead" => cfg.barrier_overhead = override_u64(val, k)?,
             "sched_static_overhead" => cfg.sched_static_overhead = override_u64(val, k)?,
@@ -466,13 +476,11 @@ pub fn apply_overrides(cfg: &mut MachineConfig, overrides: &Json) -> Result<(), 
             "iter_reset_cost" => cfg.iter_reset_cost = override_u64(val, k)?,
             "detailed_barrier" => cfg.detailed_barrier = override_bool(val, k)?,
             "retry_speculative" => {
-                let n = override_u64(val, k)?;
+                let n = override_u32(val, k)?;
                 cfg.recovery = if n == 0 {
                     RecoveryPolicy::SerialReexec
                 } else {
-                    RecoveryPolicy::RetrySpeculative {
-                        max_attempts: n as u32,
-                    }
+                    RecoveryPolicy::RetrySpeculative { max_attempts: n }
                 };
             }
             "checkpoint_every" => {

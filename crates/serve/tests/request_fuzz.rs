@@ -145,3 +145,41 @@ fn degenerate_lines_are_rejected_not_panicked() {
         }
     }
 }
+
+/// A recovery count that does not fit in 32 bits is an error, not a
+/// silent wrap (2^32 would wrap to `RetrySpeculative { max_attempts: 0 }`).
+#[test]
+fn oversized_retry_counts_are_rejected() {
+    for key in ["retry_speculative", "retry_max_retries"] {
+        let line = format!(r#"{{"op":"case","seed":1,"config":{{"{key}":4294967296}}}}"#);
+        assert_total(&line);
+        let err = parse_request(&line).expect_err("2^32 must not wrap");
+        assert!(err.contains(key) && err.contains("out of range"), "{err}");
+        let max = format!(r#"{{"op":"case","seed":1,"config":{{"{key}":4294967295}}}}"#);
+        assert!(parse_request(&max).is_ok(), "u32::MAX still fits");
+    }
+}
+
+/// `retry_speculative` and `checkpoint_every` each select a whole recovery
+/// policy, so a request giving both is rejected in either key order rather
+/// than letting the last key win.
+#[test]
+fn conflicting_recovery_policies_are_rejected() {
+    for config in [
+        r#"{"retry_speculative":2,"checkpoint_every":8}"#,
+        r#"{"checkpoint_every":8,"retry_speculative":2}"#,
+        r#"{"checkpoint_every":8,"retry_speculative":0}"#,
+    ] {
+        let line = format!(r#"{{"op":"case","seed":1,"config":{config}}}"#);
+        assert_total(&line);
+        let err = parse_request(&line).expect_err("both policies given");
+        assert!(
+            err.contains("retry_speculative") && err.contains("checkpoint_every"),
+            "{err}"
+        );
+    }
+    for config in [r#"{"retry_speculative":2}"#, r#"{"checkpoint_every":8}"#] {
+        let line = format!(r#"{{"op":"case","seed":1,"config":{config}}}"#);
+        assert!(parse_request(&line).is_ok(), "{line}");
+    }
+}

@@ -32,15 +32,28 @@ pub mod track;
 
 pub use common::{Scale, Workload};
 
+/// The four loops' names, in the paper's presentation order.
+const NAMES: [&str; 4] = ["ocean", "p3m", "adm", "track"];
+
+/// The workload called `name` (`ocean`, `p3m`, `adm` or `track`) at the
+/// given scale, built on its own; `None` for any other name.
+pub fn by_name(name: &str, scale: Scale) -> Option<Workload> {
+    match name {
+        "ocean" => Some(ocean::workload(scale)),
+        "p3m" => Some(p3m::workload(scale)),
+        "adm" => Some(adm::workload(scale)),
+        "track" => Some(track::workload(scale)),
+        _ => None,
+    }
+}
+
 /// All four workloads at the given scale, in the paper's presentation
 /// order.
 pub fn all_workloads(scale: Scale) -> Vec<Workload> {
-    vec![
-        ocean::workload(scale),
-        p3m::workload(scale),
-        adm::workload(scale),
-        track::workload(scale),
-    ]
+    NAMES
+        .iter()
+        .map(|name| by_name(name, scale).expect("every listed name builds"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -52,6 +65,16 @@ mod tests {
         let ws = all_workloads(Scale::Smoke);
         let names: Vec<&str> = ws.iter().map(|w| w.name).collect();
         assert_eq!(names, vec!["ocean", "p3m", "adm", "track"]);
+    }
+
+    #[test]
+    fn by_name_builds_exactly_the_named_workload() {
+        for w in all_workloads(Scale::Smoke) {
+            let alone = by_name(w.name, Scale::Smoke).expect("known name");
+            assert_eq!(alone.name, w.name);
+            assert_eq!(alone.invocations.len(), w.invocations.len());
+        }
+        assert!(by_name("swim", Scale::Smoke).is_none());
     }
 
     #[test]
