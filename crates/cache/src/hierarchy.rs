@@ -7,9 +7,16 @@
 //! coherence layer can write dirty data back and merge the access bits into
 //! the directory (the paper's algorithm (e): "update directory using the tag
 //! state of all the words of the dirty line").
+//!
+//! Storage: each level is a flat array of 8-byte slot words holding
+//! `line + 1` (0 = empty); the L2 word also carries the line's dirty bit, so
+//! coherence state needs no side table. Access bits live in one map keyed by
+//! line, whose keys are exactly the resident set (inclusion puts every
+//! resident line in L2, and fill/displace/invalidate keep the map in
+//! lockstep) — so walks over the resident lines visit the map, never the
+//! 512 + 8192 slots.
 
-use std::collections::HashMap;
-
+use specrt_engine::FixedMap;
 use specrt_mem::LineAddr;
 
 use crate::tags::LineTags;
@@ -67,15 +74,33 @@ impl Default for CacheConfig {
     }
 }
 
+/// Slot word flag: the L2-resident line is dirty (only ever set in L2).
+const DIRTY: u64 = 1 << 63;
+
+/// The line a non-empty slot word holds.
+fn occupant(word: u64) -> LineAddr {
+    LineAddr((word & !DIRTY) - 1)
+}
+
+/// The coherence state an L2 slot word records.
+fn word_state(word: u64) -> LineState {
+    if word & DIRTY != 0 {
+        LineState::Dirty
+    } else {
+        LineState::Clean
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Level {
-    slots: Vec<Option<LineAddr>>,
+    /// `line + 1` per slot, 0 when empty; plus [`DIRTY`] in L2.
+    slots: Vec<u64>,
 }
 
 impl Level {
     fn new(lines: usize) -> Self {
         Level {
-            slots: vec![None; lines],
+            slots: vec![0; lines],
         }
     }
 
@@ -83,30 +108,44 @@ impl Level {
         (line.0 % self.slots.len() as u64) as usize
     }
 
-    fn occupant(&self, line: LineAddr) -> Option<LineAddr> {
-        self.slots[self.slot_of(line)]
+    /// The slot word of `line`, if this level holds it.
+    fn word(&self, line: LineAddr) -> Option<u64> {
+        let word = self.slots[self.slot_of(line)];
+        (word & !DIRTY == line.0 + 1).then_some(word)
     }
 
     fn holds(&self, line: LineAddr) -> bool {
-        self.occupant(line) == Some(line)
+        self.word(line).is_some()
     }
 
-    /// Installs `line`, returning the previous occupant if different.
-    fn install(&mut self, line: LineAddr) -> Option<LineAddr> {
+    /// Installs `line` with `flags`, returning the previous occupant's slot
+    /// word if it held a different line.
+    fn install(&mut self, line: LineAddr, flags: u64) -> Option<u64> {
+        debug_assert!(
+            line.0 + 1 < DIRTY,
+            "line {line} collides with the dirty bit"
+        );
         let idx = self.slot_of(line);
         let prev = self.slots[idx];
-        self.slots[idx] = Some(line);
-        prev.filter(|&p| p != line)
+        self.slots[idx] = (line.0 + 1) | flags;
+        (prev != 0 && prev & !DIRTY != line.0 + 1).then_some(prev)
     }
 
-    fn remove(&mut self, line: LineAddr) -> bool {
+    /// Empties `line`'s slot, returning its word if it held `line`.
+    fn remove(&mut self, line: LineAddr) -> Option<u64> {
         let idx = self.slot_of(line);
-        if self.slots[idx] == Some(line) {
-            self.slots[idx] = None;
-            true
-        } else {
-            false
-        }
+        let word = self.slots[idx];
+        (word & !DIRTY == line.0 + 1).then(|| {
+            self.slots[idx] = 0;
+            word
+        })
+    }
+
+    /// The slot word of a line this level holds.
+    fn word_mut(&mut self, line: LineAddr) -> &mut u64 {
+        let idx = self.slot_of(line);
+        debug_assert!(self.slots[idx] & !DIRTY == line.0 + 1);
+        &mut self.slots[idx]
     }
 }
 
@@ -128,8 +167,8 @@ impl Level {
 pub struct CacheHierarchy {
     l1: Level,
     l2: Level,
-    state: HashMap<LineAddr, LineState>,
-    tags: HashMap<LineAddr, LineTags>,
+    /// Access bits of every resident line; the keys are the resident set.
+    tags: FixedMap<LineAddr, LineTags>,
     l1_hits: u64,
     l2_hits: u64,
     misses: u64,
@@ -156,8 +195,7 @@ impl CacheHierarchy {
         CacheHierarchy {
             l1: Level::new(config.l1_lines),
             l2: Level::new(config.l2_lines),
-            state: HashMap::new(),
-            tags: HashMap::new(),
+            tags: FixedMap::default(),
             l1_hits: 0,
             l2_hits: 0,
             misses: 0,
@@ -189,7 +227,8 @@ impl CacheHierarchy {
                 self.l2_hits += 1;
                 // Promote; the L1 victim is still in L2 (inclusion), so no
                 // external write-back happens here.
-                if let Some(prev) = self.l1.install(line) {
+                if let Some(prev) = self.l1.install(line, 0) {
+                    let prev = occupant(prev);
                     debug_assert!(self.l2.holds(prev), "inclusion violated for {prev}");
                 }
                 HitLevel::L2
@@ -215,31 +254,28 @@ impl CacheHierarchy {
             self.probe(line) == HitLevel::Miss,
             "fill of resident line {line}"
         );
-        let victim = self.l2.install(line).map(|v| {
+        let flags = if state == LineState::Dirty { DIRTY } else { 0 };
+        let victim = self.l2.install(line, flags).map(|word| {
+            let v = occupant(word);
             self.l1.remove(v);
-            let dirty = self.state.remove(&v) == Some(LineState::Dirty);
             let tags = self.tags.remove(&v).unwrap_or_else(LineTags::empty);
             Victim {
                 line: v,
-                dirty,
+                dirty: word_state(word) == LineState::Dirty,
                 tags,
             }
         });
-        if let Some(prev) = self.l1.install(line) {
+        if let Some(prev) = self.l1.install(line, 0) {
+            let prev = occupant(prev);
             debug_assert!(self.l2.holds(prev) || victim.as_ref().map(|v| v.line) == Some(prev));
         }
-        self.state.insert(line, state);
         self.tags.insert(line, tags);
         victim
     }
 
     /// Coherence state of `line`, if resident.
     pub fn state_of(&self, line: LineAddr) -> Option<LineState> {
-        if self.probe(line) == HitLevel::Miss {
-            None
-        } else {
-            self.state.get(&line).copied()
-        }
+        self.l2.word(line).map(word_state)
     }
 
     /// Marks a resident line dirty (a store hit on a clean-exclusive grant
@@ -253,7 +289,7 @@ impl CacheHierarchy {
             self.probe(line) != HitLevel::Miss,
             "mark_dirty on absent line {line}"
         );
-        self.state.insert(line, LineState::Dirty);
+        *self.l2.word_mut(line) |= DIRTY;
     }
 
     /// Downgrades a dirty line to clean (after a write-back that keeps the
@@ -267,52 +303,33 @@ impl CacheHierarchy {
             self.probe(line) != HitLevel::Miss,
             "mark_clean on absent line {line}"
         );
-        self.state.insert(line, LineState::Clean);
+        *self.l2.word_mut(line) &= !DIRTY;
     }
 
     /// Removes `line` from both levels, returning its state and tags (for
     /// write-back-and-invalidate transactions).
     pub fn invalidate(&mut self, line: LineAddr) -> Option<(LineState, LineTags)> {
-        if self.probe(line) == HitLevel::Miss {
-            return None;
-        }
+        let word = self.l2.remove(line)?;
         self.l1.remove(line);
-        self.l2.remove(line);
-        let state = self.state.remove(&line)?;
         let tags = self.tags.remove(&line).unwrap_or_else(LineTags::empty);
-        Some((state, tags))
+        Some((word_state(word), tags))
     }
 
     /// Access bits of a resident line.
     pub fn tags_of(&self, line: LineAddr) -> Option<&LineTags> {
-        if self.probe(line) == HitLevel::Miss {
-            None
-        } else {
-            self.tags.get(&line)
-        }
+        self.tags.get(&line)
     }
 
     /// Mutable access bits of a resident line.
     pub fn tags_mut(&mut self, line: LineAddr) -> Option<&mut LineTags> {
-        if self.probe(line) == HitLevel::Miss {
-            None
-        } else {
-            self.tags.get_mut(&line)
-        }
+        self.tags.get_mut(&line)
     }
 
     /// Empties the hierarchy, returning the dirty lines (the paper flushes
     /// caches after every loop invocation "to mimic real conditions", §5.2).
     pub fn flush(&mut self) -> Vec<Victim> {
         let mut victims: Vec<Victim> = Vec::new();
-        let mut lines: Vec<LineAddr> = self.state.keys().copied().collect();
-        lines.sort();
-        for line in lines {
-            // A line may be in `state` but no longer mapped (should not
-            // happen, but be defensive about slot aliasing bugs).
-            if self.probe(line) == HitLevel::Miss {
-                continue;
-            }
+        for line in self.resident() {
             let (state, tags) = self.invalidate(line).expect("resident line");
             if state == LineState::Dirty {
                 victims.push(Victim {
@@ -322,8 +339,6 @@ impl CacheHierarchy {
                 });
             }
         }
-        self.state.clear();
-        self.tags.clear();
         victims
     }
 
@@ -345,8 +360,8 @@ impl CacheHierarchy {
 
     /// All resident lines, in address order.
     pub fn resident(&self) -> Vec<LineAddr> {
-        let mut v: Vec<LineAddr> = self.state.keys().copied().collect();
-        v.sort();
+        let mut v: Vec<LineAddr> = self.tags.keys().copied().collect();
+        v.sort_unstable();
         v
     }
 
@@ -371,28 +386,26 @@ impl CacheHierarchy {
 
     /// Number of resident lines.
     pub fn resident_lines(&self) -> usize {
-        self.state.len()
+        self.tags.len()
     }
 
     /// Returns the hierarchy to its just-constructed state — slots empty,
-    /// no line state or tags, hit counters zeroed — while keeping the slot
+    /// no tags, hit counters zeroed — while keeping the slot
     /// vectors and map capacity allocated (machine reuse across requests).
     ///
-    /// Clears only the occupied slots: every occupant is a `state` key
-    /// (fill/displace/invalidate keep them in lockstep), so walking the
-    /// resident set beats memsetting the paper-sized slot vectors
-    /// (512 L1 + 8192 L2 entries) when only a handful of lines are live —
-    /// which is the dominant reset cost under pooled machine reuse.
+    /// Clears only the occupied slots: every occupant is a `tags` key, so
+    /// walking the resident set beats memsetting the paper-sized slot
+    /// vectors (512 L1 + 8192 L2 words) when only a handful of lines are
+    /// live — which is the dominant reset cost under pooled machine reuse.
     pub fn reset(&mut self) {
-        for &line in self.state.keys() {
+        for &line in self.tags.keys() {
             self.l1.remove(line);
             self.l2.remove(line);
         }
         debug_assert!(
-            self.l1.slots.iter().all(Option::is_none) && self.l2.slots.iter().all(Option::is_none),
-            "slot occupied by a line absent from `state`"
+            self.l1.slots.iter().all(|&w| w == 0) && self.l2.slots.iter().all(|&w| w == 0),
+            "slot occupied by a line absent from `tags`"
         );
-        self.state.clear();
         self.tags.clear();
         self.l1_hits = 0;
         self.l2_hits = 0;
@@ -426,14 +439,17 @@ mod tests {
     fn l1_conflict_leaves_line_in_l2() {
         let mut c = small();
         // Lines 0 and 4 conflict in a 4-line L1 but not in a 16-line L2.
-        c.fill(LineAddr(0), LineState::Clean, LineTags::empty());
+        c.fill(LineAddr(0), LineState::Dirty, LineTags::empty());
         c.fill(LineAddr(4), LineState::Clean, LineTags::empty());
         assert_eq!(c.probe(LineAddr(4)), HitLevel::L1);
         assert_eq!(c.probe(LineAddr(0)), HitLevel::L2);
-        // Accessing 0 promotes it back, demoting 4 (still in L2).
+        // Accessing 0 promotes it back, demoting 4 (still in L2); the
+        // dirty bit lives in the L2 slot and survives both moves.
         assert_eq!(c.access(LineAddr(0)), HitLevel::L2);
         assert_eq!(c.probe(LineAddr(0)), HitLevel::L1);
         assert_eq!(c.probe(LineAddr(4)), HitLevel::L2);
+        assert_eq!(c.state_of(LineAddr(0)), Some(LineState::Dirty));
+        assert_eq!(c.state_of(LineAddr(4)), Some(LineState::Clean));
     }
 
     #[test]

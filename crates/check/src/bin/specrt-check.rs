@@ -51,7 +51,8 @@
 //! unchanged unless parallelism is asked for.
 //!
 //! `--profile[=FILE]` turns on the host-side span profiler for the run and
-//! prints the ranked self-time table (plus worker-pool telemetry) to
+//! prints the ranked self-time table (plus worker-pool and machine-pool
+//! build/reuse telemetry) to
 //! **stderr** after the command finishes; with `=FILE` it also writes a
 //! Chrome `trace_events` timeline of the host spans — one track per worker
 //! — loadable in Perfetto. stdout is untouched: profiled runs stay
@@ -301,6 +302,8 @@ fn cmd_fuzz(args: &Args) -> ExitCode {
             p.claimed,
             p.imbalance()
         );
+        let (builds, reuses) = specrt_machine::pool::counters();
+        eprintln!("pool: {builds} builds, {reuses} reuses");
     }
     match args.inject {
         None => {

@@ -1,9 +1,10 @@
 //! Machine-reuse correctness: `crates/machine`'s thread-local pool hands
-//! scenario runs a reset [`specrt_proto::MemSystem`] instead of a fresh
-//! one. A reset system must be observationally identical to a fresh build —
-//! cycle counts, verdicts, stats and final memory images alike — because
-//! the serve cache's byte-identity guarantee (cold = warm) and the fuzz
-//! determinism gate both ride on it.
+//! scenario runs a [`specrt_proto::MemSystem`] re-targeted in place by
+//! `MemSystem::reset_to` instead of a fresh one. A reset system must be
+//! observationally identical to a fresh build — cycle counts, verdicts,
+//! stats and final memory images alike — because the serve cache's
+//! byte-identity guarantee (cold = warm) and the fuzz determinism gate
+//! both ride on it.
 
 use specrt_check::{run_case, CaseSpec, ARR_A, ARR_OUT};
 use specrt_machine::{pool, run_scenario_configured, MachineConfig, RunResult, Scenario};

@@ -16,7 +16,9 @@
 //!   categories the paper reports (Busy / Sync / Mem, Figure 12),
 //! * statistics counters and histograms ([`Counter`], [`Histogram`]),
 //! * a dependency-free deterministic RNG ([`SplitMix64`]) for tie-breaking
-//!   and synthetic jitter.
+//!   and synthetic jitter,
+//! * a fixed, deterministic hasher ([`FixedMap`]) for the maps every
+//!   simulated access consults.
 //!
 //! The engine is intentionally single-threaded: simulated parallelism across
 //! processors is expressed as interleaved events in virtual time, which makes
@@ -35,12 +37,14 @@
 //! ```
 
 pub mod events;
+pub mod hash;
 pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use events::EventQueue;
+pub use hash::{FixedHasher, FixedMap};
 pub use resource::{BankedResource, Resource};
 pub use rng::SplitMix64;
 pub use stats::{Counter, Histogram, StatSet, TimeBreakdown};

@@ -6,9 +6,9 @@
 //! every simulated processor owns one and the scenario driver aggregates
 //! them.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::hash::FixedMap;
 use crate::time::Cycles;
 
 /// Per-processor execution-time decomposition (Busy / Sync / Mem).
@@ -270,10 +270,12 @@ impl Histogram {
 ///
 /// Components register protocol-level counts (messages sent, invalidations,
 /// write-backs, FAIL checks, …) here so that experiments can print them
-/// without each component exposing bespoke accessors.
-#[derive(Debug, Clone, Default)]
+/// without each component exposing bespoke accessors. Counting is a hash
+/// lookup; every rendering ([`StatSet::iter`], `Display`, `Debug`) is in
+/// name order.
+#[derive(Clone, Default)]
 pub struct StatSet {
-    counters: BTreeMap<&'static str, u64>,
+    counters: FixedMap<&'static str, u64>,
 }
 
 impl StatSet {
@@ -298,13 +300,15 @@ impl StatSet {
     }
 
     /// Iterates over `(name, value)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (*k, *v))
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        let mut v: Vec<(&'static str, u64)> = self.counters.iter().map(|(k, v)| (*k, *v)).collect();
+        v.sort_unstable_by_key(|&(k, _)| k);
+        v.into_iter()
     }
 
     /// Merges another set into this one (component-wise addition).
     pub fn merge(&mut self, other: &StatSet) {
-        for (k, v) in other.iter() {
+        for (&k, &v) in &other.counters {
             self.add(k, v);
         }
     }
@@ -312,6 +316,20 @@ impl StatSet {
     /// Clears every counter.
     pub fn reset(&mut self) {
         self.counters.clear();
+    }
+}
+
+impl fmt::Debug for StatSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct ByName<'a>(&'a StatSet);
+        impl fmt::Debug for ByName<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.iter()).finish()
+            }
+        }
+        f.debug_struct("StatSet")
+            .field("counters", &ByName(self))
+            .finish()
     }
 }
 
@@ -464,5 +482,9 @@ mod tests {
         assert_eq!(t.get("absent"), 0);
         let names: Vec<_> = t.iter().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["inv", "wb"]);
+        assert_eq!(
+            format!("{t:?}"),
+            r#"StatSet { counters: {"inv": 13, "wb": 1} }"#
+        );
     }
 }

@@ -1,21 +1,23 @@
 //! Thread-local [`MemSystem`] reuse pool.
 //!
-//! The host profile (DESIGN.md §13) charges a visible slice of every case to
-//! `machine.setup`: each scenario run used to construct a fresh [`MemSystem`]
-//! — caches, directories, network, speculative stores — only to throw it
-//! away a few thousand simulated cycles later. Under a long-running server
-//! (`specrt-serve`) or a fuzz sweep, consecutive requests overwhelmingly
-//! share one [`MemSystemConfig`], so the pool keeps recently-dropped systems
-//! per thread and hands them back after an in-place
-//! [`MemSystem::reset_for_reuse`], which keeps the big containers' allocated
-//! capacity.
+//! Building a [`MemSystem`] allocates every node's cache slot arrays
+//! (512 + 8192 words per node in the paper's machine), directories and
+//! banks; resetting one costs a walk over the lines the last run touched.
+//! Consecutive leases on a thread rarely share a whole
+//! [`MemSystemConfig`] — a fuzz case's node-fault legs each carry their own
+//! fault time, a checkpoint rerun runs on one processor fewer, and serial
+//! re-execution on one — so the pool does not match configurations at all:
+//! [`MemSystem::reset_to`] adopts any configuration in place. A lease
+//! prefers a pooled system of the same *shape* (processor count and cache
+//! geometry), which resets without resizing anything, and otherwise takes
+//! any pooled system and resizes it. Only an empty pool builds.
 //!
 //! Correctness: a reset system must be observationally identical to a fresh
 //! one — the serving layer's byte-identity guarantee (cold = warm = any
-//! `--jobs`) rides on it, and `tests/pool.rs` pins it by running the same
-//! loop back-to-back on one pooled instance. The pool is thread-local, so
-//! parallel workers (`crates/par`) never contend and per-thread behaviour
-//! stays deterministic.
+//! `--jobs`) rides on it, and `crates/check/tests/reuse_equiv.rs` pins it
+//! across configurations. The pool is thread-local, so parallel workers
+//! (`crates/par`) never contend and per-thread behaviour stays
+//! deterministic.
 //!
 //! Scenario runners lease through [`lease`]; the guard returns the system on
 //! drop. [`counters`] exposes global build/reuse totals for the serve
@@ -28,14 +30,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use specrt_proto::{MemSystem, MemSystemConfig};
 
 /// Systems kept per thread. Scenario runners hold at most two machines at
-/// once (a speculative run plus its serial re-execution uses them
-/// sequentially), so a small pool already captures the reuse; anything
-/// larger just holds memory hostage on wide sweeps with varied configs.
+/// once (an aborted speculative run and its serial re-execution or
+/// checkpoint rerun), so a small pool already captures the reuse; anything
+/// larger just holds memory hostage.
 const MAX_POOLED: usize = 4;
 
 thread_local! {
-    static POOL: RefCell<Vec<(MemSystemConfig, MemSystem)>> =
-        const { RefCell::new(Vec::new()) };
+    static POOL: RefCell<Vec<MemSystem>> = const { RefCell::new(Vec::new()) };
 }
 
 static BUILDS: AtomicU64 = AtomicU64::new(0);
@@ -46,33 +47,36 @@ static REUSES: AtomicU64 = AtomicU64::new(0);
 /// Dereferences to [`MemSystem`]; scenario code uses it exactly like an
 /// owned system.
 pub struct PooledMem {
-    cfg: MemSystemConfig,
     ms: Option<MemSystem>,
 }
 
-/// Leases a system for `cfg`: a pooled instance with the identical
-/// configuration (reset in place) when one is available on this thread, a
-/// freshly constructed one otherwise.
+/// Leases a system for `cfg`: a pooled instance re-targeted in place by
+/// [`MemSystem::reset_to`] — one of the same shape if the thread has one,
+/// any otherwise — or, from an empty pool, a freshly constructed one.
 pub fn lease(cfg: MemSystemConfig) -> PooledMem {
     let pooled = POOL.with(|p| {
         let mut p = p.borrow_mut();
-        p.iter()
-            .position(|(c, _)| *c == cfg)
-            .map(|i| p.swap_remove(i).1)
+        let same_shape = |c: &MemSystemConfig| c.procs == cfg.procs && c.cache == cfg.cache;
+        let i = p
+            .iter()
+            .position(|ms| same_shape(ms.config()))
+            .or_else(|| p.len().checked_sub(1))?;
+        Some(p.swap_remove(i))
     });
     let ms = match pooled {
         Some(mut ms) => {
             let _prof = specrt_prof::scope("machine.reset");
-            ms.reset_for_reuse();
+            ms.reset_to(cfg);
             REUSES.fetch_add(1, Ordering::Relaxed);
             ms
         }
         None => {
+            let _prof = specrt_prof::scope("machine.build");
             BUILDS.fetch_add(1, Ordering::Relaxed);
             MemSystem::new(cfg)
         }
     };
-    PooledMem { cfg, ms: Some(ms) }
+    PooledMem { ms: Some(ms) }
 }
 
 /// Global `(builds, reuses)` totals across all threads since process start.
@@ -105,7 +109,7 @@ impl Drop for PooledMem {
         POOL.with(|p| {
             let mut p = p.borrow_mut();
             if p.len() < MAX_POOLED {
-                p.push((self.cfg, ms));
+                p.push(ms);
             }
         });
     }
@@ -129,12 +133,14 @@ mod tests {
     }
 
     #[test]
-    fn different_config_builds_fresh() {
+    fn different_config_adopts_a_pooled_system() {
         let a = MemSystemConfig::default();
         let mut b = a;
         b.procs = a.procs + 1;
+        b.dir_banks = a.dir_banks / 2;
         drop(lease(a));
         let leased = lease(b);
+        assert_eq!(*leased.config(), b);
         assert_eq!(leased.procs(), b.procs);
     }
 }

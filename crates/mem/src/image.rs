@@ -8,8 +8,7 @@
 //! that; the *cost* of the copies is charged separately by the machine layer
 //! (backup/restore are simulated as memory-to-memory copy loops).
 
-use std::collections::HashMap;
-
+use specrt_engine::FixedMap;
 use specrt_ir::{ArrayId, MemOracle, Scalar};
 
 /// Values of every registered array.
@@ -20,7 +19,7 @@ use specrt_ir::{ArrayId, MemOracle, Scalar};
 /// the system runs (see DESIGN.md §3).
 #[derive(Debug, Clone, Default)]
 pub struct MemoryImage {
-    arrays: HashMap<ArrayId, Vec<Scalar>>,
+    arrays: FixedMap<ArrayId, Vec<Scalar>>,
 }
 
 /// A saved copy of selected arrays, produced by [`MemoryImage::snapshot`].

@@ -114,13 +114,19 @@ impl NumaAllocator {
         layout
     }
 
-    /// Returns the allocator to its just-constructed state — page cursor
-    /// back at 1, round-robin cursor at node 0, no pages homed, no arrays
-    /// registered — keeping map capacity. Part of the machine-reuse path:
-    /// a pooled [`crate::MemoryImage`]-backed machine re-allocates its
-    /// arrays from scratch on every lease, so placements and addresses
-    /// replay exactly as on a fresh allocator.
-    pub fn reset(&mut self) {
+    /// Returns the allocator to the state of [`NumaAllocator::new`] for
+    /// `nodes` nodes — page cursor back at 1, round-robin cursor at node 0,
+    /// no pages homed, no arrays registered — keeping map capacity. Part of
+    /// the machine-reuse path: a pooled machine re-allocates its arrays
+    /// from scratch on every lease, so placements and addresses replay
+    /// exactly as on a fresh allocator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` is zero.
+    pub fn reset(&mut self, nodes: u32) {
+        assert!(nodes > 0, "a machine needs at least one node");
+        self.nodes = nodes;
         self.next_page = 1;
         self.rr_cursor = 0;
         self.homes.clear();

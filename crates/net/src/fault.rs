@@ -266,13 +266,6 @@ impl FaultPlane {
     pub fn stats(&self) -> FaultStats {
         self.stats
     }
-
-    /// Rewinds the decision stream to its initial state (same seed, zeroed
-    /// counters) — the fault-plane half of [`crate::Network::reset`].
-    pub fn reset(&mut self) {
-        self.rng = SplitMix64::new(self.cfg.seed);
-        self.stats = FaultStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -327,24 +320,6 @@ mod tests {
         assert_eq!(s.decided, 10_000);
         // 50% ± generous slack.
         assert!((4_000..6_000).contains(&s.dropped), "dropped={}", s.dropped);
-    }
-
-    #[test]
-    fn reset_rewinds_the_stream() {
-        let cfg = FaultConfig {
-            seed: 42,
-            drop_ppm: 250_000,
-            dup_ppm: 0,
-            delay_ppm: 0,
-            delay_cycles: 0,
-            node_fault: None,
-        };
-        let mut p = FaultPlane::new(cfg);
-        let first: Vec<_> = (0..64).map(|_| p.decide()).collect();
-        p.reset();
-        assert_eq!(p.stats(), FaultStats::default());
-        let again: Vec<_> = (0..64).map(|_| p.decide()).collect();
-        assert_eq!(first, again, "reset must rewind to the seed");
     }
 
     #[test]

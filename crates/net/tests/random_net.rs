@@ -101,16 +101,6 @@ fn replay_is_bit_deterministic() {
 }
 
 #[test]
-fn reset_restores_initial_behaviour() {
-    let pattern = traffic(7, 9, 500, 30);
-    let mut warm = Network::new(NetConfig::mesh(9).with_link_service(32), 9, 74);
-    run(&mut warm, &pattern);
-    warm.reset();
-    let mut cold = Network::new(NetConfig::mesh(9).with_link_service(32), 9, 74);
-    assert_eq!(run(&mut warm, &pattern), run(&mut cold, &pattern));
-}
-
-#[test]
 fn flat_zero_load_matches_calibrated_travel() {
     // The degenerate crossbar must reproduce LatencyConfig::travel (§5.1
     // unloaded calibration): net_oneway between distinct nodes, zero

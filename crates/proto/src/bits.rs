@@ -6,8 +6,7 @@
 //! bit table indexed through the translation table) and compute the home
 //! node only for timing.
 
-use std::collections::HashMap;
-
+use specrt_engine::FixedMap;
 use specrt_ir::ArrayId;
 use specrt_mem::ProcId;
 use specrt_spec::{
@@ -18,7 +17,7 @@ use specrt_spec::{
 /// that test.
 #[derive(Debug, Clone, Default)]
 pub struct NonPrivStore {
-    arrays: HashMap<ArrayId, Vec<NonPrivDirElem>>,
+    arrays: FixedMap<ArrayId, Vec<NonPrivDirElem>>,
 }
 
 impl NonPrivStore {
@@ -71,7 +70,7 @@ impl NonPrivStore {
 /// arrays.
 #[derive(Debug, Clone, Default)]
 pub struct PrivSharedStore {
-    arrays: HashMap<ArrayId, Vec<PrivSharedElem>>,
+    arrays: FixedMap<ArrayId, Vec<PrivSharedElem>>,
 }
 
 impl PrivSharedStore {
@@ -123,12 +122,12 @@ impl PrivSharedStore {
 /// (array, processor).
 #[derive(Debug, Clone, Default)]
 pub struct PrivPrivateStore {
-    copies: HashMap<(ArrayId, ProcId), Vec<PrivPrivateElem>>,
+    copies: FixedMap<(ArrayId, ProcId), Vec<PrivPrivateElem>>,
     // Sticky per-element "has been read in / written" marks. Unlike the
     // stamps, these survive §3.3 stamp-window resets: the private copy's
     // data remains valid across windows, so the read-in decision must not
     // re-trigger (it would reload stale shared data over private updates).
-    touched: HashMap<(ArrayId, ProcId), Vec<bool>>,
+    touched: FixedMap<(ArrayId, ProcId), Vec<bool>>,
 }
 
 impl PrivPrivateStore {
@@ -279,7 +278,7 @@ mod tests {
 /// Shared-directory reduced (no-read-in) privatization bits (Figure 5-b).
 #[derive(Debug, Clone, Default)]
 pub struct Priv3SharedStore {
-    arrays: HashMap<ArrayId, Vec<PrivNoReadInShared>>,
+    arrays: FixedMap<ArrayId, Vec<PrivNoReadInShared>>,
 }
 
 impl Priv3SharedStore {
@@ -331,7 +330,7 @@ impl Priv3SharedStore {
 /// (`Read1st`/`Write`/`WriteAny`, §4.1).
 #[derive(Debug, Clone, Default)]
 pub struct Priv3PrivateStore {
-    copies: HashMap<(ArrayId, ProcId), Vec<PrivNoReadInPrivate>>,
+    copies: FixedMap<(ArrayId, ProcId), Vec<PrivNoReadInPrivate>>,
 }
 
 impl Priv3PrivateStore {

@@ -7,9 +7,9 @@
 //! is what the paper's protocol extensions lean on to keep their data races
 //! resolvable.
 
-use std::collections::HashMap;
 use std::fmt;
 
+use specrt_engine::FixedMap;
 use specrt_mem::{LineAddr, ProcId};
 
 /// Full-map presence bits: the set of processors holding a clean copy.
@@ -161,18 +161,13 @@ impl DirLineState {
 /// Lines not present in the map are `Uncached`; the map is populated lazily.
 #[derive(Debug, Clone, Default)]
 pub struct DirectoryNode {
-    lines: HashMap<LineAddr, DirLineState>,
+    lines: FixedMap<LineAddr, DirLineState>,
 }
 
 impl DirectoryNode {
     /// Creates an empty slice.
     pub fn new() -> Self {
         DirectoryNode::default()
-    }
-
-    /// Forgets every line (machine reuse), keeping map capacity.
-    pub fn reset(&mut self) {
-        self.lines.clear();
     }
 
     /// Current state of `line`.
@@ -252,7 +247,8 @@ impl DirectoryNode {
         self.lines.insert(line, DirLineState::Uncached);
     }
 
-    /// Forgets everything (caches were flushed).
+    /// Forgets every line, keeping map capacity (caches were flushed, or
+    /// the machine is being reset for reuse).
     pub fn clear(&mut self) {
         self.lines.clear();
     }

@@ -11,6 +11,7 @@
 
 use std::fmt::Write as _;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use specrt_cache::{CacheConfig, CacheHierarchy, ElemTag, HitLevel, LineState, LineTags, Victim};
 use specrt_engine::{BankedResource, Cycles, EventQueue, StatSet};
@@ -74,6 +75,17 @@ fn spec_private_cache(tag: &mut ElemTag, write: bool) -> bool {
     );
     *tag = next;
     signal
+}
+
+/// The `SPECRT_TRACE=<array>,<element>` filter of [`MemSystem`]'s
+/// development trace, read from the environment once per process.
+fn trace_filter() -> Option<(u32, u64)> {
+    static FILTER: OnceLock<Option<(u32, u64)>> = OnceLock::new();
+    *FILTER.get_or_init(|| {
+        let v = std::env::var("SPECRT_TRACE").ok()?;
+        let parts: Vec<u64> = v.split(',').filter_map(|x| x.parse().ok()).collect();
+        (parts.len() == 2).then(|| (parts[0] as u32, parts[1]))
+    })
 }
 
 /// Result of one simulated memory access.
@@ -264,23 +276,17 @@ pub struct MemSystem {
 }
 
 impl MemSystem {
-    /// Creates a memory system with no arrays allocated.
+    /// Creates a memory system with no arrays allocated: an empty shell
+    /// brought to `cfg` by [`MemSystem::reset_to`], the one path that
+    /// prepares a system for a run.
     pub fn new(cfg: MemSystemConfig) -> Self {
-        assert!(
-            cfg.procs <= SharerSet::MAX_PROCS,
-            "{} procs exceed the directory's full-map presence mask",
-            cfg.procs
-        );
-        let procs = cfg.procs as usize;
-        MemSystem {
+        let mut ms = MemSystem {
             numa: NumaAllocator::new(cfg.procs),
             plan: TestPlan::new(),
             numbering: IterationNumbering::iteration_wise(),
-            caches: (0..procs).map(|_| CacheHierarchy::new(cfg.cache)).collect(),
-            dirs: (0..procs).map(|_| DirectoryNode::new()).collect(),
-            dir_banks: (0..procs)
-                .map(|_| BankedResource::new(cfg.dir_banks))
-                .collect(),
+            caches: Vec::new(),
+            dirs: Vec::new(),
+            dir_banks: Vec::new(),
             net: Network::new(cfg.net, cfg.procs, cfg.latency.net_oneway),
             net_trace: false,
             nonpriv: NonPrivStore::new(),
@@ -291,7 +297,7 @@ impl MemSystem {
             private_layouts: Vec::new(),
             msgs: EventQueue::new(),
             failure: None,
-            cur_eff_iter: vec![0; procs],
+            cur_eff_iter: Vec::new(),
             stats: StatSet::new(),
             test_enabled: true,
             stamp_base: 0,
@@ -301,13 +307,111 @@ impl MemSystem {
             cur_ctx: None,
             #[cfg(debug_assertions)]
             spec_shadow: Vec::new(),
-            msg_arrival: vec![Cycles(0); procs * procs],
-            trace_filter: std::env::var("SPECRT_TRACE").ok().and_then(|v| {
-                let parts: Vec<u64> = v.split(',').filter_map(|x| x.parse().ok()).collect();
-                (parts.len() == 2).then(|| (parts[0] as u32, parts[1]))
-            }),
+            msg_arrival: Vec::new(),
+            trace_filter: trace_filter(),
             cfg,
+        };
+        ms.reset_to(cfg);
+        ms
+    }
+
+    /// Returns the system to the state of a fresh [`MemSystem::new`] for
+    /// `cfg` — any configuration, not just the one it last ran — while
+    /// keeping the big containers' allocated capacity. This is the
+    /// machine-reuse path: a pooled worker serving many requests resets
+    /// instead of reconstructing.
+    ///
+    /// Every non-structural field is re-applied from `cfg`: the network
+    /// (topology and fault plane, rebuilt from its seed), the latency
+    /// model, the directory bank count, the retry policy and the
+    /// dirty-read downgrade switch. The per-processor vectors (caches,
+    /// directories, banks, iteration stamps, message watermarks, NUMA
+    /// nodes) are resized to `cfg.procs`; a cache is rebuilt only when the
+    /// geometry changes, otherwise it is emptied in place.
+    ///
+    /// Everything observable must replay exactly as on a fresh system —
+    /// the serving layer's byte-identity guarantee (cold = warm = any job
+    /// count) rides on it:
+    /// * the NUMA allocator rewinds to page 1 / node 0, so array addresses
+    ///   and placements repeat;
+    /// * the fault plane restarts at its configured seed, so fault-injected
+    ///   runs repeat;
+    /// * the speculative stores are **reconstructed**, not just cleared —
+    ///   their per-array registrations (keyed by `ArrayId`, sized at
+    ///   registration) would otherwise leak stale lengths into the next
+    ///   request;
+    /// * stats, traces and scratch all zero; the tracer is detached
+    ///   (re-enable per request via [`MemSystem::enable_event_trace`]).
+    ///
+    /// The `SPECRT_TRACE` filter is host configuration, read once per
+    /// process, and survives.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.procs` is zero or exceeds the directory's presence
+    /// mask ([`SharerSet::MAX_PROCS`]).
+    pub fn reset_to(&mut self, cfg: MemSystemConfig) {
+        assert!(
+            cfg.procs <= SharerSet::MAX_PROCS,
+            "{} procs exceed the directory's full-map presence mask",
+            cfg.procs
+        );
+        let procs = cfg.procs as usize;
+        if cfg.cache != self.cfg.cache {
+            self.caches.clear();
         }
+        self.caches.truncate(procs);
+        for c in &mut self.caches {
+            c.reset();
+        }
+        self.caches
+            .resize_with(procs, || CacheHierarchy::new(cfg.cache));
+        self.dirs.truncate(procs);
+        for d in &mut self.dirs {
+            d.clear();
+        }
+        self.dirs.resize_with(procs, DirectoryNode::new);
+        if cfg.dir_banks != self.cfg.dir_banks {
+            self.dir_banks.clear();
+        }
+        self.dir_banks.truncate(procs);
+        for b in &mut self.dir_banks {
+            b.reset();
+        }
+        self.dir_banks
+            .resize_with(procs, || BankedResource::new(cfg.dir_banks));
+        self.net = Network::new(cfg.net, cfg.procs, cfg.latency.net_oneway);
+        self.net_trace = false;
+        self.numa.reset(cfg.procs);
+        self.plan = TestPlan::new();
+        self.numbering = IterationNumbering::iteration_wise();
+        self.nonpriv = NonPrivStore::new();
+        self.priv_shared = PrivSharedStore::new();
+        self.priv_private = PrivPrivateStore::new();
+        self.priv3_shared = Priv3SharedStore::new();
+        self.priv3_private = Priv3PrivateStore::new();
+        #[cfg(debug_assertions)]
+        self.spec_shadow.clear();
+        self.private_layouts.clear();
+        self.msgs.clear();
+        self.failure = None;
+        self.cur_eff_iter.clear();
+        self.cur_eff_iter.resize(procs, 0);
+        self.stats.reset();
+        self.test_enabled = true;
+        self.stamp_base = 0;
+        self.tracer = Tracer::off();
+        self.last_queue = Cycles(0);
+        self.last_case = None;
+        self.cur_ctx = None;
+        self.msg_arrival.clear();
+        self.msg_arrival.resize(procs * procs, Cycles(0));
+        self.cfg = cfg;
+    }
+
+    /// The configuration the system was last built or reset for.
+    pub fn config(&self) -> &MemSystemConfig {
+        &self.cfg
     }
 
     /// Number of processors.
@@ -585,67 +689,6 @@ impl MemSystem {
         }
         self.msg_arrival.fill(Cycles(0));
         self.stats.incr("retry.speculative_reruns");
-    }
-
-    /// Returns the system to the state of a fresh [`MemSystem::new`] with
-    /// the same configuration, while keeping the big containers' allocated
-    /// capacity (cache slot vectors, line/tag maps, directory maps). This
-    /// is the machine-reuse path: a pooled worker serving many requests
-    /// resets instead of reconstructing, eliminating the per-case
-    /// `machine.setup` rebuild named by the host profile.
-    ///
-    /// Everything observable must replay exactly as on a fresh system —
-    /// the serving layer's byte-identity guarantee (cold = warm = any job
-    /// count) rides on it:
-    /// * the NUMA allocator rewinds to page 1 / node 0, so array addresses
-    ///   and placements repeat;
-    /// * the fault plane rewinds to its configured seed, so fault-injected
-    ///   runs repeat;
-    /// * the speculative stores are **reconstructed**, not just cleared —
-    ///   their per-array registrations (keyed by `ArrayId`, sized at
-    ///   registration) would otherwise leak stale lengths into the next
-    ///   request;
-    /// * stats, traces and scratch all zero; the tracer is detached
-    ///   (re-enable per request via [`MemSystem::enable_event_trace`]).
-    ///
-    /// The env-derived `SPECRT_TRACE` filter survives: it is host
-    /// configuration, not per-run state.
-    pub fn reset_for_reuse(&mut self) {
-        let procs = self.cfg.procs as usize;
-        self.numa.reset();
-        self.plan = TestPlan::new();
-        self.numbering = IterationNumbering::iteration_wise();
-        for c in &mut self.caches {
-            c.reset();
-        }
-        for d in &mut self.dirs {
-            d.reset();
-        }
-        for b in &mut self.dir_banks {
-            b.reset();
-        }
-        self.net.reset();
-        self.net_trace = false;
-        self.nonpriv = NonPrivStore::new();
-        self.priv_shared = PrivSharedStore::new();
-        self.priv_private = PrivPrivateStore::new();
-        self.priv3_shared = Priv3SharedStore::new();
-        self.priv3_private = Priv3PrivateStore::new();
-        #[cfg(debug_assertions)]
-        self.spec_shadow.clear();
-        self.private_layouts.clear();
-        self.msgs.clear();
-        self.failure = None;
-        self.cur_eff_iter.clear();
-        self.cur_eff_iter.resize(procs, 0);
-        self.stats.reset();
-        self.test_enabled = true;
-        self.stamp_base = 0;
-        self.tracer = Tracer::off();
-        self.last_queue = Cycles(0);
-        self.last_case = None;
-        self.cur_ctx = None;
-        self.msg_arrival.fill(Cycles(0));
     }
 
     /// The recorded speculation failure, if any.
@@ -2542,6 +2585,51 @@ mod tests {
     const A: ArrayId = ArrayId(0);
     const P0: ProcId = ProcId(0);
     const P1: ProcId = ProcId(1);
+
+    /// Mixed read/write bursts, every processor issuing in the same cycle
+    /// (so directory banks and links contend), rendered with each
+    /// completion time, the coherence dump, the traffic and the stats.
+    fn exercise(ms: &mut MemSystem) -> String {
+        let procs = u64::from(ms.procs());
+        ms.alloc_array(A, 256, ElemSize::W8, PlacementPolicy::RoundRobin);
+        ms.configure_loop(TestPlan::new(), IterationNumbering::iteration_wise());
+        let mut out = String::new();
+        for i in 0..96u64 {
+            let p = ProcId((i % procs) as u32);
+            let now = Cycles(i / procs * 400);
+            let o = if i % 3 == 0 {
+                ms.write(p, A, i * 5 % 256, now)
+            } else {
+                ms.read(p, A, i * 16 % 256, now)
+            };
+            let _ = write!(out, "{} ", o.complete_at.raw());
+        }
+        format!("{out}\n{}{:?}\n{}", ms.dump(), ms.net_summary(), ms.stats())
+    }
+
+    #[test]
+    fn reset_to_any_config_replays_like_a_fresh_build() {
+        let small = *small_system(3).config();
+        let big = MemSystemConfig {
+            procs: 8,
+            cache: CacheConfig {
+                l1_lines: 8,
+                l2_lines: 32,
+            },
+            dir_banks: 2,
+            net: NetConfig::mesh(8),
+            dirty_read_downgrades: true,
+            ..small
+        };
+        let fresh_small = exercise(&mut MemSystem::new(small));
+        let fresh_big = exercise(&mut MemSystem::new(big));
+        let mut ms = MemSystem::new(big);
+        exercise(&mut ms);
+        ms.reset_to(small);
+        assert_eq!(exercise(&mut ms), fresh_small, "shrinking reset drifted");
+        ms.reset_to(big);
+        assert_eq!(exercise(&mut ms), fresh_big, "growing reset drifted");
+    }
 
     #[test]
     fn private_copy_ids_are_unique() {
