@@ -34,6 +34,7 @@ use specrt_cache::{ElemTag, FirstTag};
 use specrt_machine::{MachineConfig, RecoveryPolicy, ScheduleKind};
 use specrt_proto::{NodeFaultKind, Topology};
 use specrt_spec::{DirElem, FlightMsg, PrivateDirElem, ProtocolKind, SpecState};
+use specrt_trace::export::escape_json;
 
 use crate::generate::{CaseSpec, Op};
 
@@ -138,7 +139,11 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(s) => out.push_str(s),
-            Json::Str(s) => write_json_string(s, out),
+            Json::Str(s) => {
+                out.push('"');
+                out.push_str(&escape_json(s));
+                out.push('"');
+            }
             Json::Arr(v) => {
                 out.push('[');
                 for (i, e) in v.iter().enumerate() {
@@ -155,7 +160,9 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_json_string(k, out);
+                    out.push('"');
+                    out.push_str(&escape_json(k));
+                    out.push('"');
                     out.push(':');
                     v.write(out);
                 }
@@ -173,25 +180,6 @@ impl Json {
     pub fn str(s: impl Into<String>) -> Json {
         Json::Str(s.into())
     }
-}
-
-/// Writes `s` as a JSON string literal (quotes, escapes).
-pub fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {

@@ -4,215 +4,63 @@
 //! Logically the bits live in the directory slice of each element's home
 //! node; we store them per array (contiguously, like the hardware's access
 //! bit table indexed through the translation table) and compute the home
-//! node only for timing.
+//! node only for timing. One [`ElemStore`] instance holds each kind of
+//! state: keyed by array for the shared directory, by (array, processor)
+//! for the private copies.
+
+use std::hash::Hash;
 
 use specrt_engine::FixedMap;
-use specrt_ir::ArrayId;
-use specrt_mem::ProcId;
-use specrt_spec::{
-    NonPrivDirElem, PrivNoReadInPrivate, PrivNoReadInShared, PrivPrivateElem, PrivSharedElem,
-};
 
-/// Non-privatization directory state for every element of the arrays under
-/// that test.
-#[derive(Debug, Clone, Default)]
-pub struct NonPrivStore {
-    arrays: FixedMap<ArrayId, Vec<NonPrivDirElem>>,
+/// Per-element state of type `T` for every registered array, keyed by `K`.
+#[derive(Debug, Clone)]
+pub struct ElemStore<K, T> {
+    pub(crate) arrays: FixedMap<K, Vec<T>>,
 }
 
-impl NonPrivStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        NonPrivStore::default()
+impl<K, T> Default for ElemStore<K, T> {
+    fn default() -> Self {
+        ElemStore {
+            arrays: FixedMap::default(),
+        }
+    }
+}
+
+impl<K: Copy + Eq + Hash, T: Clone + Default> ElemStore<K, T> {
+    /// Registers `key` with `len` elements, all in the default (clear)
+    /// state, replacing any earlier registration.
+    pub fn register(&mut self, key: K, len: u64) {
+        self.arrays.insert(key, vec![T::default(); len as usize]);
     }
 
-    /// Registers `arr` with `len` elements, all state clear.
-    pub fn register(&mut self, arr: ArrayId, len: u64) {
-        self.arrays
-            .insert(arr, vec![NonPrivDirElem::default(); len as usize]);
-    }
-
-    /// Whether `arr` is registered.
-    pub fn contains(&self, arr: ArrayId) -> bool {
-        self.arrays.contains_key(&arr)
+    /// Whether `key` is registered.
+    pub fn contains(&self, key: K) -> bool {
+        self.arrays.contains_key(&key)
     }
 
     /// Element state accessor.
     ///
     /// # Panics
     ///
-    /// Panics if the array is unregistered or the index out of range.
-    pub fn elem(&self, arr: ArrayId, idx: u64) -> &NonPrivDirElem {
-        &self.arrays[&arr][idx as usize]
+    /// Panics if `key` is unregistered or the index out of range.
+    pub fn elem(&self, key: K, idx: u64) -> &T {
+        &self.arrays[&key][idx as usize]
     }
 
     /// Mutable element state accessor.
     ///
     /// # Panics
     ///
-    /// Panics if the array is unregistered or the index out of range.
-    pub fn elem_mut(&mut self, arr: ArrayId, idx: u64) -> &mut NonPrivDirElem {
-        &mut self.arrays.get_mut(&arr).expect("array registered")[idx as usize]
+    /// Panics if `key` is unregistered or the index out of range.
+    pub fn elem_mut(&mut self, key: K, idx: u64) -> &mut T {
+        &mut self.arrays.get_mut(&key).expect("array registered")[idx as usize]
     }
 
-    /// Clears all state (loop start: "clearing the directory tags … with a
-    /// system call").
-    pub fn clear(&mut self) {
+    /// Returns every element of every registered array to `T::default()`
+    /// (loop start: "clearing the directory tags … with a system call").
+    pub fn reset(&mut self) {
         for v in self.arrays.values_mut() {
-            for e in v {
-                e.clear();
-            }
-        }
-    }
-}
-
-/// Shared-copy privatization stamps (`MaxR1st`/`MinW`) for privatized
-/// arrays.
-#[derive(Debug, Clone, Default)]
-pub struct PrivSharedStore {
-    arrays: FixedMap<ArrayId, Vec<PrivSharedElem>>,
-}
-
-impl PrivSharedStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        PrivSharedStore::default()
-    }
-
-    /// Registers `arr` with `len` elements.
-    pub fn register(&mut self, arr: ArrayId, len: u64) {
-        self.arrays
-            .insert(arr, vec![PrivSharedElem::default(); len as usize]);
-    }
-
-    /// Whether `arr` is registered.
-    pub fn contains(&self, arr: ArrayId) -> bool {
-        self.arrays.contains_key(&arr)
-    }
-
-    /// Element accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if unregistered/out of range.
-    pub fn elem(&self, arr: ArrayId, idx: u64) -> &PrivSharedElem {
-        &self.arrays[&arr][idx as usize]
-    }
-
-    /// Mutable element accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if unregistered/out of range.
-    pub fn elem_mut(&mut self, arr: ArrayId, idx: u64) -> &mut PrivSharedElem {
-        &mut self.arrays.get_mut(&arr).expect("array registered")[idx as usize]
-    }
-
-    /// Clears all stamps.
-    pub fn clear(&mut self) {
-        for v in self.arrays.values_mut() {
-            for e in v {
-                e.clear();
-            }
-        }
-    }
-}
-
-/// Private-copy privatization stamps (`PMaxR1st`/`PMaxW`), one vector per
-/// (array, processor).
-#[derive(Debug, Clone, Default)]
-pub struct PrivPrivateStore {
-    copies: FixedMap<(ArrayId, ProcId), Vec<PrivPrivateElem>>,
-    // Sticky per-element "has been read in / written" marks. Unlike the
-    // stamps, these survive §3.3 stamp-window resets: the private copy's
-    // data remains valid across windows, so the read-in decision must not
-    // re-trigger (it would reload stale shared data over private updates).
-    touched: FixedMap<(ArrayId, ProcId), Vec<bool>>,
-}
-
-impl PrivPrivateStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        PrivPrivateStore::default()
-    }
-
-    /// Registers the private copy of `arr` for `proc` with `len` elements.
-    pub fn register(&mut self, arr: ArrayId, proc: ProcId, len: u64) {
-        self.copies
-            .insert((arr, proc), vec![PrivPrivateElem::default(); len as usize]);
-        self.touched.insert((arr, proc), vec![false; len as usize]);
-    }
-
-    /// Marks element `idx` as resident in the private copy (read in or
-    /// written at some point in the loop).
-    pub fn mark_touched(&mut self, arr: ArrayId, proc: ProcId, idx: u64) {
-        self.touched
-            .get_mut(&(arr, proc))
-            .expect("private copy registered")[idx as usize] = true;
-    }
-
-    /// Element accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if unregistered/out of range.
-    pub fn elem(&self, arr: ArrayId, proc: ProcId, idx: u64) -> &PrivPrivateElem {
-        &self.copies[&(arr, proc)][idx as usize]
-    }
-
-    /// Mutable element accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if unregistered/out of range.
-    pub fn elem_mut(&mut self, arr: ArrayId, proc: ProcId, idx: u64) -> &mut PrivPrivateElem {
-        &mut self
-            .copies
-            .get_mut(&(arr, proc))
-            .expect("private copy registered")[idx as usize]
-    }
-
-    /// Whether every element of `range` in the (array, proc) copy has never
-    /// been read in or written — the read-in test over a whole memory line.
-    /// Survives stamp-window resets.
-    pub fn line_untouched(&self, arr: ArrayId, proc: ProcId, range: std::ops::Range<u64>) -> bool {
-        let v = &self.touched[&(arr, proc)];
-        range.clone().all(|i| !v[i as usize])
-    }
-
-    /// For copy-out: the processor holding the highest `PMaxW` for element
-    /// `idx`, with that stamp, if anyone wrote it.
-    pub fn last_writer(&self, arr: ArrayId, procs: u32, idx: u64) -> Option<(ProcId, u64)> {
-        let mut best: Option<(ProcId, u64)> = None;
-        for p in 0..procs {
-            let proc = ProcId(p);
-            if let Some(v) = self.copies.get(&(arr, proc)) {
-                let stamp = v[idx as usize].pmax_w;
-                if stamp > 0 && best.is_none_or(|(_, s)| stamp > s) {
-                    best = Some((proc, stamp));
-                }
-            }
-        }
-        best
-    }
-
-    /// Clears only the stamps (a §3.3 stamp-window reset); the touched
-    /// marks — and with them the read-in decisions — are preserved.
-    pub fn clear_stamps(&mut self) {
-        for v in self.copies.values_mut() {
-            for e in v {
-                e.clear();
-            }
-        }
-    }
-
-    /// Clears everything (loop start).
-    pub fn clear(&mut self) {
-        self.clear_stamps();
-        for v in self.touched.values_mut() {
-            for t in v {
-                *t = false;
-            }
+            v.fill(T::default());
         }
     }
 }
@@ -220,198 +68,85 @@ impl PrivPrivateStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use specrt_ir::ArrayId;
+    use specrt_mem::ProcId;
+    use specrt_spec::{
+        DirElem, DirEvent, NonPrivDirElem, PrivNoReadInPrivate, PrivNoReadInShared,
+        PrivPrivateElem, PrivSharedElem, PrivateEvent, ProtocolSpec,
+    };
 
     #[test]
     fn nonpriv_store_round_trip() {
-        let mut s = NonPrivStore::new();
+        let mut s: ElemStore<ArrayId, NonPrivDirElem> = ElemStore::default();
         s.register(ArrayId(0), 4);
         assert!(s.contains(ArrayId(0)));
-        s.elem_mut(ArrayId(0), 2).on_write_req(ProcId(1)).unwrap();
+        assert!(!s.contains(ArrayId(1)));
+        let e = s.elem_mut(ArrayId(0), 2);
+        let (next, em) =
+            ProtocolSpec::dir_step(DirElem::NonPriv(*e), DirEvent::WriteReq { from: ProcId(1) });
+        assert_eq!(em, None);
+        *e = next.unwrap_nonpriv();
         assert_eq!(s.elem(ArrayId(0), 2).first, Some(ProcId(1)));
-        s.clear();
-        assert_eq!(s.elem(ArrayId(0), 2).first, None);
+        s.reset();
+        assert_eq!(*s.elem(ArrayId(0), 2), NonPrivDirElem::default());
     }
 
     #[test]
-    fn priv_shared_store_round_trip() {
-        let mut s = PrivSharedStore::new();
-        s.register(ArrayId(1), 3);
-        s.elem_mut(ArrayId(1), 0).on_first_write(5).unwrap();
-        assert!(s.elem(ArrayId(1), 0).written());
-        s.clear();
-        assert!(!s.elem(ArrayId(1), 0).written());
+    fn priv_stores_reset_to_clear_state() {
+        let mut shared: ElemStore<ArrayId, PrivSharedElem> = ElemStore::default();
+        shared.register(ArrayId(1), 3);
+        *shared.elem_mut(ArrayId(1), 0) = PrivSharedElem {
+            max_r1st: 1,
+            min_w: 1,
+        };
+        shared.reset();
+        assert_eq!(*shared.elem(ArrayId(1), 0), PrivSharedElem::default());
+        assert_eq!(shared.elem(ArrayId(1), 0).min_w, u64::MAX, "no write");
+
+        let key = (ArrayId(0), ProcId(0));
+        let mut private: ElemStore<(ArrayId, ProcId), PrivPrivateElem> = ElemStore::default();
+        private.register(key, 2);
+        let e = private.elem_mut(key, 1);
+        *e = ProtocolSpec::private_step(*e, PrivateEvent::ReadFirstSignal { iter: 1 }).0;
+        assert_ne!(*private.elem(key, 1), PrivPrivateElem::default());
+        private.reset();
+        assert_eq!(*private.elem(key, 1), PrivPrivateElem::default());
     }
 
     #[test]
-    fn private_store_line_untouched() {
-        let mut s = PrivPrivateStore::new();
-        s.register(ArrayId(0), ProcId(0), 8);
-        assert!(s.line_untouched(ArrayId(0), ProcId(0), 0..8));
-        s.mark_touched(ArrayId(0), ProcId(0), 3);
-        assert!(!s.line_untouched(ArrayId(0), ProcId(0), 0..8));
-        assert!(s.line_untouched(ArrayId(0), ProcId(0), 4..8));
-        // A stamp-window reset clears stamps but not residency.
-        s.elem_mut(ArrayId(0), ProcId(0), 3)
-            .on_first_write_signal(2);
-        s.clear_stamps();
-        assert!(s.elem(ArrayId(0), ProcId(0), 3).is_untouched());
-        assert!(!s.line_untouched(ArrayId(0), ProcId(0), 0..8));
-        s.clear();
-        assert!(s.line_untouched(ArrayId(0), ProcId(0), 0..8));
+    fn touched_marks_answer_the_line_read_in_test() {
+        // The stamped private copies' sticky touched marks are a `bool`
+        // instance of the store: a line may be read in only while none of
+        // its elements is marked.
+        let key = (ArrayId(0), ProcId(0));
+        let mut touched: ElemStore<(ArrayId, ProcId), bool> = ElemStore::default();
+        touched.register(key, 8);
+        let untouched =
+            |t: &ElemStore<_, bool>, r: std::ops::Range<u64>| r.clone().all(|i| !*t.elem(key, i));
+        assert!(untouched(&touched, 0..8));
+        *touched.elem_mut(key, 3) = true;
+        assert!(!untouched(&touched, 0..8));
+        assert!(untouched(&touched, 4..8));
+        touched.reset();
+        assert!(untouched(&touched, 0..8));
     }
-
-    #[test]
-    fn last_writer_finds_max_stamp() {
-        let mut s = PrivPrivateStore::new();
-        for p in 0..3 {
-            s.register(ArrayId(0), ProcId(p), 2);
-        }
-        s.elem_mut(ArrayId(0), ProcId(0), 0)
-            .on_first_write_signal(2);
-        s.elem_mut(ArrayId(0), ProcId(2), 0)
-            .on_first_write_signal(7);
-        assert_eq!(s.last_writer(ArrayId(0), 3, 0), Some((ProcId(2), 7)));
-        assert_eq!(s.last_writer(ArrayId(0), 3, 1), None);
-    }
-}
-
-/// Shared-directory reduced (no-read-in) privatization bits (Figure 5-b).
-#[derive(Debug, Clone, Default)]
-pub struct Priv3SharedStore {
-    arrays: FixedMap<ArrayId, Vec<PrivNoReadInShared>>,
-}
-
-impl Priv3SharedStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Priv3SharedStore::default()
-    }
-
-    /// Registers `arr` with `len` elements.
-    pub fn register(&mut self, arr: ArrayId, len: u64) {
-        self.arrays
-            .insert(arr, vec![PrivNoReadInShared::default(); len as usize]);
-    }
-
-    /// Whether `arr` is registered.
-    pub fn contains(&self, arr: ArrayId) -> bool {
-        self.arrays.contains_key(&arr)
-    }
-
-    /// Element accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if unregistered/out of range.
-    pub fn elem(&self, arr: ArrayId, idx: u64) -> &PrivNoReadInShared {
-        &self.arrays[&arr][idx as usize]
-    }
-
-    /// Mutable element accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if unregistered/out of range.
-    pub fn elem_mut(&mut self, arr: ArrayId, idx: u64) -> &mut PrivNoReadInShared {
-        &mut self.arrays.get_mut(&arr).expect("array registered")[idx as usize]
-    }
-
-    /// Clears all bits.
-    pub fn clear(&mut self) {
-        for v in self.arrays.values_mut() {
-            for e in v {
-                e.clear();
-            }
-        }
-    }
-}
-
-/// Private-directory reduced (no-read-in) privatization bits
-/// (`Read1st`/`Write`/`WriteAny`, §4.1).
-#[derive(Debug, Clone, Default)]
-pub struct Priv3PrivateStore {
-    copies: FixedMap<(ArrayId, ProcId), Vec<PrivNoReadInPrivate>>,
-}
-
-impl Priv3PrivateStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Priv3PrivateStore::default()
-    }
-
-    /// Registers the private copy of `arr` for `proc`.
-    pub fn register(&mut self, arr: ArrayId, proc: ProcId, len: u64) {
-        self.copies.insert(
-            (arr, proc),
-            vec![PrivNoReadInPrivate::default(); len as usize],
-        );
-    }
-
-    /// Element accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if unregistered/out of range.
-    pub fn elem(&self, arr: ArrayId, proc: ProcId, idx: u64) -> &PrivNoReadInPrivate {
-        &self.copies[&(arr, proc)][idx as usize]
-    }
-
-    /// Mutable element accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if unregistered/out of range.
-    pub fn elem_mut(&mut self, arr: ArrayId, proc: ProcId, idx: u64) -> &mut PrivNoReadInPrivate {
-        &mut self
-            .copies
-            .get_mut(&(arr, proc))
-            .expect("private copy registered")[idx as usize]
-    }
-
-    /// The hardware's per-iteration qualified reset: clears `Read1st` and
-    /// `Write` (but not `WriteAny`) for every element of `proc`'s copies.
-    pub fn clear_iteration_bits(&mut self, proc: ProcId) {
-        for ((_, p), v) in self.copies.iter_mut() {
-            if *p == proc {
-                for e in v {
-                    e.clear_iteration();
-                }
-            }
-        }
-    }
-
-    /// Clears everything.
-    pub fn clear(&mut self) {
-        for v in self.copies.values_mut() {
-            for e in v {
-                e.clear();
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod priv3_tests {
-    use super::*;
 
     #[test]
     fn priv3_stores_round_trip() {
-        let mut s = Priv3SharedStore::new();
+        let mut s: ElemStore<ArrayId, PrivNoReadInShared> = ElemStore::default();
         s.register(ArrayId(0), 2);
         assert!(s.contains(ArrayId(0)));
-        s.elem_mut(ArrayId(0), 1).on_first_write().unwrap();
-        assert!(s.elem_mut(ArrayId(0), 1).on_read_first().is_err());
-        s.clear();
-        s.elem_mut(ArrayId(0), 1).on_read_first().unwrap();
+        s.elem_mut(ArrayId(0), 1).any_w = true;
+        s.reset();
+        assert_eq!(*s.elem(ArrayId(0), 1), PrivNoReadInShared::default());
 
-        let mut p = Priv3PrivateStore::new();
-        p.register(ArrayId(0), ProcId(0), 2);
-        p.elem_mut(ArrayId(0), ProcId(0), 0).on_write().unwrap();
-        assert!(p.elem(ArrayId(0), ProcId(0), 0).write);
-        p.clear_iteration_bits(ProcId(0));
-        assert!(!p.elem(ArrayId(0), ProcId(0), 0).write);
-        assert!(p.elem(ArrayId(0), ProcId(0), 0).write_any);
-        p.clear();
-        assert!(p.elem(ArrayId(0), ProcId(0), 0).is_untouched());
+        let key = (ArrayId(0), ProcId(0));
+        let mut p: ElemStore<(ArrayId, ProcId), PrivNoReadInPrivate> = ElemStore::default();
+        p.register(key, 2);
+        let e = p.elem_mut(key, 0);
+        *e = ProtocolSpec::private3_step(*e, true).0;
+        assert!(p.elem(key, 0).write && p.elem(key, 0).write_any);
+        p.reset();
+        assert_eq!(*p.elem(key, 0), PrivNoReadInPrivate::default());
     }
 }

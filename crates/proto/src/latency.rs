@@ -6,6 +6,7 @@
 //! respectively. These figures correspond to an unloaded machine; they
 //! increase with resource contention."
 
+use specrt_cache::HitLevel;
 use specrt_engine::Cycles;
 use specrt_mem::NodeId;
 
@@ -83,6 +84,20 @@ impl LatencyConfig {
         self.owner_fetch_extra = self.remote_3hop - self.remote_2hop;
         self
     }
+
+    /// Round trip of a cache hit at `level`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`HitLevel::Miss`], which has no hit latency.
+    pub fn hit(&self, level: HitLevel) -> Cycles {
+        match level {
+            HitLevel::L1 => Cycles(self.l1_hit),
+            HitLevel::L2 => Cycles(self.l2_hit),
+            HitLevel::Miss => panic!("a cache miss has no hit latency"),
+        }
+    }
+
     /// One-way travel time between two nodes (0 within a node; the global
     /// network is a constant-latency abstraction).
     pub fn travel(&self, from: NodeId, to: NodeId) -> Cycles {
@@ -133,6 +148,13 @@ mod tests {
         assert_eq!(c.local_mem, 60);
         assert_eq!(c.remote_2hop, 208);
         assert_eq!(c.remote_3hop, 291);
+    }
+
+    #[test]
+    fn hit_latency_follows_level() {
+        let c = LatencyConfig::default();
+        assert_eq!(c.hit(HitLevel::L1), Cycles(1));
+        assert_eq!(c.hit(HitLevel::L2), Cycles(12));
     }
 
     #[test]

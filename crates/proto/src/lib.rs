@@ -15,11 +15,12 @@
 //! * [`directory`] — per-node directory slices tracking each line as
 //!   Uncached / Shared(sharers) / Dirty(owner);
 //! * [`bits`] — the directory-side access-bit stores: the "dedicated memory
-//!   that is close to the directory" of §4.1, holding
+//!   that is close to the directory" of §4.1. One generic
+//!   [`ElemStore`](bits::ElemStore) instance per kind of state holds the
 //!   [`NonPrivDirElem`](specrt_spec::NonPrivDirElem) /
 //!   [`PrivSharedElem`](specrt_spec::PrivSharedElem) /
-//!   [`PrivPrivateElem`](specrt_spec::PrivPrivateElem) state per element of
-//!   each array under test;
+//!   [`PrivPrivateElem`](specrt_spec::PrivPrivateElem) / no-read-in state
+//!   of every element of each array under test;
 //! * [`system`] — [`system::MemSystem`], the façade the machine
 //!   layer talks to: every simulated load/store enters here and comes back
 //!   with a completion time, possible read-in instructions, and possibly a

@@ -11,7 +11,6 @@
 
 use std::fmt::Write as _;
 use std::ops::Range;
-use std::sync::OnceLock;
 
 use specrt_cache::{CacheConfig, CacheHierarchy, ElemTag, HitLevel, LineState, LineTags, Victim};
 use specrt_engine::{BankedResource, Cycles, EventQueue, StatSet};
@@ -20,13 +19,12 @@ use specrt_mem::{ArrayLayout, ElemSize, LineAddr, NodeId, NumaAllocator, Placeme
 use specrt_net::{Delivery, FaultAction, FaultStats, NetConfig, NetSummary, Network};
 use specrt_spec::{
     CacheEmission, CacheEvent, DirElem, DirEmission, DirEvent, FailReason, IterationNumbering,
-    NoReadInOutcome, PrivateEffect, PrivateEvent, ProtocolKind, ProtocolSpec, TestPlan,
+    NonPrivDirElem, PrivNoReadInPrivate, PrivNoReadInShared, PrivPrivateElem, PrivSharedElem,
+    PrivateEffect, PrivateEvent, ProtocolKind, ProtocolSpec, TestPlan,
 };
 use specrt_trace::{HitKind, TraceEvent, Tracer};
 
-use crate::bits::{
-    NonPrivStore, Priv3PrivateStore, Priv3SharedStore, PrivPrivateStore, PrivSharedStore,
-};
+use crate::bits::ElemStore;
 use crate::directory::{DirLineState, DirectoryNode, SharerSet};
 use crate::latency::LatencyConfig;
 
@@ -75,17 +73,6 @@ fn spec_private_cache(tag: &mut ElemTag, write: bool) -> bool {
     );
     *tag = next;
     signal
-}
-
-/// The `SPECRT_TRACE=<array>,<element>` filter of [`MemSystem`]'s
-/// development trace, read from the environment once per process.
-fn trace_filter() -> Option<(u32, u64)> {
-    static FILTER: OnceLock<Option<(u32, u64)>> = OnceLock::new();
-    *FILTER.get_or_init(|| {
-        let v = std::env::var("SPECRT_TRACE").ok()?;
-        let parts: Vec<u64> = v.split(',').filter_map(|x| x.parse().ok()).collect();
-        (parts.len() == 2).then(|| (parts[0] as u32, parts[1]))
-    })
 }
 
 /// Result of one simulated memory access.
@@ -218,11 +205,15 @@ pub struct MemSystem {
     /// default) so the dense network stream never perturbs existing
     /// transaction-level golden traces.
     net_trace: bool,
-    nonpriv: NonPrivStore,
-    priv_shared: PrivSharedStore,
-    priv_private: PrivPrivateStore,
-    priv3_shared: Priv3SharedStore,
-    priv3_private: Priv3PrivateStore,
+    nonpriv: ElemStore<ArrayId, NonPrivDirElem>,
+    priv_shared: ElemStore<ArrayId, PrivSharedElem>,
+    priv_private: ElemStore<(ArrayId, ProcId), PrivPrivateElem>,
+    /// Sticky per-element "has been read in / written" marks of the stamped
+    /// private copies, feeding the line-granularity read-in test. Cleared
+    /// with the stamps.
+    priv_touched: ElemStore<(ArrayId, ProcId), bool>,
+    priv3_shared: ElemStore<ArrayId, PrivNoReadInShared>,
+    priv3_private: ElemStore<(ArrayId, ProcId), PrivNoReadInPrivate>,
     /// Private-copy layouts, `(array, per-processor slots)`. A flat
     /// linear-scan structure, not a map: the lookup sits on the hot
     /// per-access path of every privatized protocol and a loop tests a
@@ -237,7 +228,6 @@ pub struct MemSystem {
     stats: StatSet,
     test_enabled: bool,
     stamp_base: u64,
-    trace_filter: Option<(u32, u64)>,
     tracer: Tracer,
     /// Scratch: queueing delay of the last directory transaction, read by
     /// the tracing path right after the dispatch that produced it.
@@ -289,11 +279,12 @@ impl MemSystem {
             dir_banks: Vec::new(),
             net: Network::new(cfg.net, cfg.procs, cfg.latency.net_oneway),
             net_trace: false,
-            nonpriv: NonPrivStore::new(),
-            priv_shared: PrivSharedStore::new(),
-            priv_private: PrivPrivateStore::new(),
-            priv3_shared: Priv3SharedStore::new(),
-            priv3_private: Priv3PrivateStore::new(),
+            nonpriv: ElemStore::default(),
+            priv_shared: ElemStore::default(),
+            priv_private: ElemStore::default(),
+            priv_touched: ElemStore::default(),
+            priv3_shared: ElemStore::default(),
+            priv3_private: ElemStore::default(),
             private_layouts: Vec::new(),
             msgs: EventQueue::new(),
             failure: None,
@@ -308,7 +299,6 @@ impl MemSystem {
             #[cfg(debug_assertions)]
             spec_shadow: Vec::new(),
             msg_arrival: Vec::new(),
-            trace_filter: trace_filter(),
             cfg,
         };
         ms.reset_to(cfg);
@@ -342,9 +332,6 @@ impl MemSystem {
     ///   request;
     /// * stats, traces and scratch all zero; the tracer is detached
     ///   (re-enable per request via [`MemSystem::enable_event_trace`]).
-    ///
-    /// The `SPECRT_TRACE` filter is host configuration, read once per
-    /// process, and survives.
     ///
     /// # Panics
     ///
@@ -385,11 +372,12 @@ impl MemSystem {
         self.numa.reset(cfg.procs);
         self.plan = TestPlan::new();
         self.numbering = IterationNumbering::iteration_wise();
-        self.nonpriv = NonPrivStore::new();
-        self.priv_shared = PrivSharedStore::new();
-        self.priv_private = PrivPrivateStore::new();
-        self.priv3_shared = Priv3SharedStore::new();
-        self.priv3_private = Priv3PrivateStore::new();
+        self.nonpriv = ElemStore::default();
+        self.priv_shared = ElemStore::default();
+        self.priv_private = ElemStore::default();
+        self.priv_touched = ElemStore::default();
+        self.priv3_shared = ElemStore::default();
+        self.priv3_private = ElemStore::default();
         #[cfg(debug_assertions)]
         self.spec_shadow.clear();
         self.private_layouts.clear();
@@ -485,9 +473,10 @@ impl MemSystem {
                                 self.private_layout_set(arr, proc, playout);
                             }
                             if reduced {
-                                self.priv3_private.register(arr, proc, layout.len);
+                                self.priv3_private.register((arr, proc), layout.len);
                             } else {
-                                self.priv_private.register(arr, proc, layout.len);
+                                self.priv_private.register((arr, proc), layout.len);
+                                self.priv_touched.register((arr, proc), layout.len);
                             }
                         }
                     }
@@ -496,13 +485,7 @@ impl MemSystem {
             }
         }
         self.plan = plan;
-        self.nonpriv.clear();
-        self.priv_shared.clear();
-        self.priv_private.clear();
-        self.priv3_shared.clear();
-        self.priv3_private.clear();
-        #[cfg(debug_assertions)]
-        self.spec_shadow.clear();
+        self.reset_spec_stores();
         // Hardware tag reset at loop start: every resident line gets fresh
         // access bits sized for the protocol it now runs under (lines may
         // have been cached by pre-loop phases under a different plan).
@@ -556,8 +539,14 @@ impl MemSystem {
             *slot = eff;
             self.caches[proc.0 as usize].clear_iteration_bits();
             // Figure 5-b mode: the private directory's Read1st/Write bits
-            // are "cleared at the beginning of each iteration" (§4.1).
-            self.priv3_private.clear_iteration_bits(proc);
+            // (but not WriteAny) are "cleared at the beginning of each
+            // iteration" (§4.1) — the hardware's qualified reset.
+            for ((_, p), bits) in self.priv3_private.arrays.iter_mut() {
+                if *p == proc {
+                    bits.iter_mut()
+                        .for_each(PrivNoReadInPrivate::clear_iteration);
+                }
+            }
         }
     }
 
@@ -602,7 +591,7 @@ impl MemSystem {
     /// cross the window boundary are satisfied, not violations.
     pub fn reset_stamp_window(&mut self, base: u64) {
         self.stamp_base = base;
-        self.priv_shared.clear();
+        self.priv_shared.reset();
         // The touched marks go too, not just the stamps: the barrier
         // commits the prefix (the machine layer folds the winners into
         // shared memory), so every stamped private copy is stale — another
@@ -610,7 +599,8 @@ impl MemSystem {
         // directory that would have caught the conflict was just cleared.
         // The next access must re-run the read-in decision against the
         // committed shared data.
-        self.priv_private.clear();
+        self.priv_private.reset();
+        self.priv_touched.reset();
         #[cfg(debug_assertions)]
         self.spec_shadow.clear();
         for e in &mut self.cur_eff_iter {
@@ -674,13 +664,7 @@ impl MemSystem {
         self.msgs.clear();
         self.failure = None;
         self.stamp_base = 0;
-        self.nonpriv.clear();
-        self.priv_shared.clear();
-        self.priv_private.clear();
-        self.priv3_shared.clear();
-        self.priv3_private.clear();
-        #[cfg(debug_assertions)]
-        self.spec_shadow.clear();
+        self.reset_spec_stores();
         for e in &mut self.cur_eff_iter {
             *e = 0;
         }
@@ -689,6 +673,19 @@ impl MemSystem {
         }
         self.msg_arrival.fill(Cycles(0));
         self.stats.incr("retry.speculative_reruns");
+    }
+
+    /// Returns every access-bit store, and the debug shadow of the shared
+    /// directory, to the clear state.
+    fn reset_spec_stores(&mut self) {
+        self.nonpriv.reset();
+        self.priv_shared.reset();
+        self.priv_private.reset();
+        self.priv_touched.reset();
+        self.priv3_shared.reset();
+        self.priv3_private.reset();
+        #[cfg(debug_assertions)]
+        self.spec_shadow.clear();
     }
 
     /// The recorded speculation failure, if any.
@@ -866,11 +863,19 @@ impl MemSystem {
     }
 
     /// For copy-out: the processor whose private copy holds the last write
-    /// of element `idx` of privatized array `arr`.
+    /// of element `idx` of privatized array `arr` (the highest `PMaxW`
+    /// stamp), if anyone wrote it.
     pub fn copy_out_winner(&self, arr: ArrayId, idx: u64) -> Option<ProcId> {
-        self.priv_private
-            .last_writer(arr, self.cfg.procs, idx)
-            .map(|(p, _)| p)
+        let mut best: Option<(ProcId, u64)> = None;
+        for proc in (0..self.cfg.procs).map(ProcId) {
+            if self.priv_private.contains((arr, proc)) {
+                let stamp = self.priv_private.elem((arr, proc), idx).pmax_w;
+                if stamp > 0 && best.is_none_or(|(_, s)| stamp > s) {
+                    best = Some((proc, stamp));
+                }
+            }
+        }
+        best.map(|(p, _)| p)
     }
 
     // ------------------------------------------------------------------
@@ -896,7 +901,6 @@ impl MemSystem {
         is_write: bool,
     ) -> AccessOutcome {
         let _prof = specrt_prof::scope("proto.access");
-        self.trace(proc, arr, idx, now, if is_write { "write" } else { "read" });
         self.drain_messages(now);
         let enabled = self.tracer.enabled();
         let (hit, pre) = if enabled {
@@ -1051,22 +1055,15 @@ impl MemSystem {
         let line = layout.addr_of(idx).line();
         let level = self.caches[proc.0 as usize].access(line);
         let complete_at = match (level, is_write) {
-            (HitLevel::L1, false) => now + Cycles(self.cfg.latency.l1_hit),
-            (HitLevel::L2, false) => now + Cycles(self.cfg.latency.l2_hit),
             (HitLevel::Miss, false) => self.fetch_line(proc, line, false, LineTags::empty(), now),
+            (_, false) => now + self.cfg.latency.hit(level),
             (_, true) => {
                 let dirty = self.caches[proc.0 as usize].state_of(line) == Some(LineState::Dirty);
                 match (level, dirty) {
                     (HitLevel::Miss, _) => {
                         self.fetch_line(proc, line, true, LineTags::empty(), now)
                     }
-                    (_, true) => {
-                        now + Cycles(if level == HitLevel::L1 {
-                            self.cfg.latency.l1_hit
-                        } else {
-                            self.cfg.latency.l2_hit
-                        })
-                    }
+                    (_, true) => now + self.cfg.latency.hit(level),
                     (_, false) => self.upgrade_line(proc, line, LineTags::empty(), now),
                 }
             }
@@ -1174,16 +1171,23 @@ impl MemSystem {
         idx: u64,
         ev: PrivateEvent,
     ) -> PrivateEffect {
-        let cur = *self.priv_private.elem(arr, proc, idx);
+        let cur = *self.priv_private.elem((arr, proc), idx);
         let (next, effect) = ProtocolSpec::private_step(cur, ev);
         debug_assert_eq!(
             (next, effect),
             ProtocolSpec::private_step(cur, ev),
             "ProtocolSpec::private_step must be deterministic"
         );
-        *self.priv_private.elem_mut(arr, proc, idx) = next;
-        self.priv_private.mark_touched(arr, proc, idx);
+        *self.priv_private.elem_mut((arr, proc), idx) = next;
+        *self.priv_touched.elem_mut((arr, proc), idx) = true;
         effect
+    }
+
+    /// Whether every element of `range` in `proc`'s stamped private copy
+    /// of `arr` was never read in or written — the read-in test over a
+    /// whole memory line.
+    fn line_untouched(&self, arr: ArrayId, proc: ProcId, mut range: Range<u64>) -> bool {
+        range.all(|i| !*self.priv_touched.elem((arr, proc), i))
     }
 
     /// Runs [`ProtocolSpec::private3_step`] at one element of `proc`'s
@@ -1194,15 +1198,15 @@ impl MemSystem {
         proc: ProcId,
         idx: u64,
         write: bool,
-    ) -> Result<NoReadInOutcome, FailReason> {
-        let cur = *self.priv3_private.elem(arr, proc, idx);
+    ) -> Result<PrivateEffect, FailReason> {
+        let cur = *self.priv3_private.elem((arr, proc), idx);
         let (next, r) = ProtocolSpec::private3_step(cur, write);
         debug_assert_eq!(
             (next, r),
             ProtocolSpec::private3_step(cur, write),
             "ProtocolSpec::private3_step must be deterministic"
         );
-        *self.priv3_private.elem_mut(arr, proc, idx) = next;
+        *self.priv3_private.elem_mut((arr, proc), idx) = next;
         r
     }
 
@@ -1217,12 +1221,7 @@ impl MemSystem {
         let home = self.numa.home_of(addr);
         let level = self.caches[proc.0 as usize].access(line);
         let complete_at = if level != HitLevel::Miss {
-            let latency = if level == HitLevel::L1 {
-                self.cfg.latency.l1_hit
-            } else {
-                self.cfg.latency.l2_hit
-            };
-            let done = now + Cycles(latency);
+            let done = now + self.cfg.latency.hit(level);
             let dirty = self.caches[proc.0 as usize].state_of(line) == Some(LineState::Dirty);
             let offset = self.elem_offset(&layout, line, idx);
             self.stats.incr("race_case_a");
@@ -1299,18 +1298,14 @@ impl MemSystem {
         let complete_at = if level != HitLevel::Miss {
             let dirty = self.caches[proc.0 as usize].state_of(line) == Some(LineState::Dirty);
             let offset = self.elem_offset(&layout, line, idx);
-            let hit_latency = if level == HitLevel::L1 {
-                self.cfg.latency.l1_hit
-            } else {
-                self.cfg.latency.l2_hit
-            };
+            let done = now + self.cfg.latency.hit(level);
             self.stats.incr("race_case_c");
             let tags = self.caches[proc.0 as usize]
                 .tags_mut(line)
                 .expect("resident line has tags");
             let tag = tags.get_mut(offset);
             match spec_cache_step(tag, dirty, CacheEvent::Write { writer: proc }) {
-                None => now + Cycles(hit_latency),
+                None => done,
                 Some(CacheEmission::NeedWriteReq) => {
                     // Upgrade: the directory runs the authoritative test and
                     // the grant refreshes the whole line's tags.
@@ -1329,8 +1324,8 @@ impl MemSystem {
                     self.upgrade_line(proc, line, tags, now)
                 }
                 Some(CacheEmission::Fail(reason)) => {
-                    self.fail(reason, now + Cycles(hit_latency));
-                    now + Cycles(hit_latency)
+                    self.fail(reason, done);
+                    done
                 }
                 Some(em) => unreachable!("write emitted {em:?}"),
             }
@@ -1388,11 +1383,6 @@ impl MemSystem {
         let line = playout.addr_of(idx).line();
         let level = self.caches[proc.0 as usize].access(line);
         if level != HitLevel::Miss {
-            let latency = if level == HitLevel::L1 {
-                self.cfg.latency.l1_hit
-            } else {
-                self.cfg.latency.l2_hit
-            };
             let offset = self.elem_offset(&playout, line, idx);
             let tags = self.caches[proc.0 as usize]
                 .tags_mut(line)
@@ -1411,7 +1401,7 @@ impl MemSystem {
                 self.forward_read_first(proc, arr, idx, eff, now);
             }
             return AccessOutcome {
-                complete_at: now + Cycles(latency),
+                complete_at: now + self.cfg.latency.hit(level),
                 read_in: None,
             };
         }
@@ -1419,7 +1409,7 @@ impl MemSystem {
         // and a plain refill (algorithm (c)).
         self.last_case = Some("c");
         let range = playout.elems_on_line(line).expect("line within array");
-        let untouched = self.priv_private.line_untouched(arr, proc, range.clone());
+        let untouched = self.line_untouched(arr, proc, range.clone());
         let effect = self.spec_private_step(
             arr,
             proc,
@@ -1467,11 +1457,6 @@ impl MemSystem {
         if level != HitLevel::Miss {
             let dirty = self.caches[proc.0 as usize].state_of(line) == Some(LineState::Dirty);
             let offset = self.elem_offset(&playout, line, idx);
-            let hit_latency = if level == HitLevel::L1 {
-                self.cfg.latency.l1_hit
-            } else {
-                self.cfg.latency.l2_hit
-            };
             let tags = self.caches[proc.0 as usize]
                 .tags_mut(line)
                 .expect("resident private line has tags");
@@ -1488,7 +1473,7 @@ impl MemSystem {
                 }
             }
             let complete_at = if dirty {
-                now + Cycles(hit_latency)
+                now + self.cfg.latency.hit(level)
             } else {
                 // Local upgrade of the private line.
                 let mut tags = self.private_tags(arr, proc, &playout, line, eff);
@@ -1503,7 +1488,7 @@ impl MemSystem {
         // Miss (algorithm (h)).
         self.last_case = Some("h");
         let range = playout.elems_on_line(line).expect("line within array");
-        let untouched = self.priv_private.line_untouched(arr, proc, range.clone());
+        let untouched = self.line_untouched(arr, proc, range.clone());
         let effect = self.spec_private_step(
             arr,
             proc,
@@ -1551,33 +1536,26 @@ impl MemSystem {
         let playout = self.private_layout(arr, proc);
         let line = playout.addr_of(idx).line();
         let level = self.caches[proc.0 as usize].access(line);
-        let hit = level != HitLevel::Miss;
-        let latency = match level {
-            HitLevel::L1 => self.cfg.latency.l1_hit,
-            HitLevel::L2 => self.cfg.latency.l2_hit,
-            HitLevel::Miss => 0,
-        };
-        let signal = if hit {
+        let (signal, complete_at) = if level != HitLevel::Miss {
             let offset = self.elem_offset(&playout, line, idx);
             let tags = self.caches[proc.0 as usize]
                 .tags_mut(line)
                 .expect("resident private line has tags");
-            spec_private_cache(tags.get_mut(offset), false)
+            let signal = spec_private_cache(tags.get_mut(offset), false);
+            (signal, now + self.cfg.latency.hit(level))
         } else {
-            true // the private directory decides below
-        };
-        let mut complete_at = now + Cycles(latency);
-        if !hit {
             let tags = self.priv3_tags(arr, proc, &playout, line);
-            complete_at = self.fetch_line_with_state(proc, line, LineState::Clean, tags, now);
-        }
+            let done = self.fetch_line_with_state(proc, line, LineState::Clean, tags, now);
+            (true, done) // the private directory decides below
+        };
         if signal {
             match self.spec_priv3_step(arr, proc, idx, false) {
-                Ok(NoReadInOutcome::NotifyShared) => {
+                Ok(PrivateEffect::None) => {}
+                Ok(effect) => {
+                    debug_assert_eq!(effect, PrivateEffect::SignalReadFirst);
                     self.stats.incr("priv_read_first_signals");
                     self.forward_read_first(proc, arr, idx, 1, now);
                 }
-                Ok(NoReadInOutcome::Local) => {}
                 Err(reason) => self.fail(reason, now),
             }
         }
@@ -1604,13 +1582,8 @@ impl MemSystem {
         };
         let complete_at = if hit {
             let dirty = self.caches[proc.0 as usize].state_of(line) == Some(LineState::Dirty);
-            let hit_latency = if level == HitLevel::L1 {
-                self.cfg.latency.l1_hit
-            } else {
-                self.cfg.latency.l2_hit
-            };
             if dirty {
-                now + Cycles(hit_latency)
+                now + self.cfg.latency.hit(level)
             } else {
                 let mut tags = self.priv3_tags(arr, proc, &playout, line);
                 let offset = self.elem_offset(&playout, line, idx);
@@ -1625,11 +1598,12 @@ impl MemSystem {
         };
         if signal {
             match self.spec_priv3_step(arr, proc, idx, true) {
-                Ok(NoReadInOutcome::NotifyShared) => {
+                Ok(PrivateEffect::None) => {}
+                Ok(effect) => {
+                    debug_assert_eq!(effect, PrivateEffect::SignalFirstWrite);
                     self.stats.incr("priv_first_write_signals");
                     self.forward_first_write(proc, arr, idx, 1, now);
                 }
-                Ok(NoReadInOutcome::Local) => {}
                 Err(reason) => self.fail(reason, now),
             }
         }
@@ -1651,7 +1625,7 @@ impl MemSystem {
         let range = playout.elems_on_line(line).expect("line within array");
         let mut tags = LineTags::cleared((range.end - range.start) as usize);
         for (i, idx) in range.clone().enumerate() {
-            let e = self.priv3_private.elem(arr, proc, idx);
+            let e = self.priv3_private.elem((arr, proc), idx);
             let t = tags.get_mut(i);
             if e.write {
                 t.set_write(true);
@@ -1716,7 +1690,7 @@ impl MemSystem {
         let range = playout.elems_on_line(line).expect("line within array");
         let mut tags = LineTags::cleared((range.end - range.start) as usize);
         for (i, idx) in range.clone().enumerate() {
-            let e = self.priv_private.elem(arr, proc, idx);
+            let e = self.priv_private.elem((arr, proc), idx);
             let t = tags.get_mut(i);
             if e.pmax_w == eff {
                 t.set_write(true);
@@ -2444,40 +2418,6 @@ impl MemSystem {
         self.drain_messages(arrive);
     }
 
-    /// Development aid: with `SPECRT_TRACE=<array>,<element>` in the
-    /// environment, prints every access to that element with the full
-    /// cache/tag/directory view (used to debug protocol interleavings).
-    fn trace(&self, proc: ProcId, arr: ArrayId, idx: u64, now: Cycles, what: &str) {
-        if let Some((farr, fidx)) = self.trace_filter {
-            if arr.0 == farr && idx == fidx {
-                let layout = self.layout(arr);
-                let line = layout.addr_of(idx).line();
-                let level = self.caches[proc.0 as usize].probe(line);
-                let state = self.caches[proc.0 as usize].state_of(line);
-                let offset = {
-                    let range = layout.elems_on_line(line).unwrap();
-                    (idx - range.start) as usize
-                };
-                let tag = self.caches[proc.0 as usize].tags_of(line).map(|t| {
-                    if t.is_tracked() {
-                        format!("{}", t.get(offset))
-                    } else {
-                        "untracked".into()
-                    }
-                });
-                let dir_elem = if self.nonpriv.contains(arr) {
-                    format!("{:?}", self.nonpriv.elem(arr, idx))
-                } else {
-                    "unregistered".into()
-                };
-                eprintln!(
-                    "[trace] t={now} {proc} {what} {arr}[{idx}] level={level:?} state={state:?} tag={tag:?} dir={dir_elem} dirline={:?}",
-                    self.dirs[self.numa.home_of(layout.addr_of(idx)).0 as usize].state(line),
-                );
-            }
-        }
-    }
-
     fn fail(&mut self, reason: FailReason, at: Cycles) {
         self.stats.incr("speculation_failures_detected");
         if self.tracer.enabled() {
@@ -2911,6 +2851,44 @@ mod tests {
         ms.drain_all_messages();
         assert!(ms.failure().is_none(), "failure: {:?}", ms.failure());
         assert_eq!(ms.copy_out_winner(A, 2), Some(P1));
+    }
+
+    #[test]
+    fn copy_out_winner_is_the_highest_write_stamp() {
+        let mut ms = small_system(3);
+        ms.alloc_array(A, 32, ElemSize::W8, PlacementPolicy::RoundRobin);
+        ms.configure_loop(priv_plan(), IterationNumbering::iteration_wise());
+        ms.begin_iteration(P0, 1);
+        let t = ms.write(P0, A, 0, Cycles(0)).complete_at;
+        ms.begin_iteration(ProcId(2), 6);
+        let _ = ms.write(ProcId(2), A, 0, t);
+        ms.drain_all_messages();
+        assert!(ms.failure().is_none(), "failure: {:?}", ms.failure());
+        assert_eq!(ms.copy_out_winner(A, 0), Some(ProcId(2)));
+        assert_eq!(ms.copy_out_winner(A, 1), None, "nobody wrote it");
+    }
+
+    #[test]
+    fn priv3_iteration_start_clears_only_that_processors_bits() {
+        let mut ms = small_system(2);
+        ms.alloc_array(A, 32, ElemSize::W8, PlacementPolicy::RoundRobin);
+        let mut plan = TestPlan::new();
+        plan.set(
+            A,
+            ProtocolKind::Priv {
+                read_in: false,
+                copy_out: false,
+            },
+        );
+        ms.configure_loop(plan, IterationNumbering::iteration_wise());
+        ms.begin_iteration(P0, 0);
+        let t = ms.write(P0, A, 0, Cycles(0)).complete_at;
+        ms.begin_iteration(P1, 4);
+        let _ = ms.write(P1, A, 1, t);
+        ms.begin_iteration(P0, 1);
+        let p0 = *ms.priv3_private.elem((A, P0), 0);
+        assert!(!p0.write && p0.write_any, "Write clears, WriteAny sticks");
+        assert!(ms.priv3_private.elem((A, P1), 1).write, "P1 untouched");
     }
 
     #[test]

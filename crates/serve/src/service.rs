@@ -25,12 +25,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
-use specrt_check::{write_json_string, Json};
+use specrt_check::Json;
 use specrt_engine::StatSet;
 use specrt_machine::{run_scenario_configured, RunResult};
 use specrt_mem::MemoryImage;
 use specrt_par::WorkerPool;
-use specrt_trace::export::metrics_json;
+use specrt_trace::export::{escape_json, metrics_json};
 use specrt_trace::MetricsRegistry;
 
 use crate::cache::ResultCache;
@@ -257,9 +257,9 @@ pub fn respond(id: &Option<String>, payload: &str) -> String {
 
 /// Renders an error response.
 pub fn error_payload(id: &Option<String>, msg: &str, retryable: bool) -> String {
-    let mut out = String::from("{\"ok\":false,\"error\":");
-    write_json_string(msg, &mut out);
-    out.push_str(",\"retryable\":");
+    let mut out = String::from("{\"ok\":false,\"error\":\"");
+    out.push_str(&escape_json(msg));
+    out.push_str("\",\"retryable\":");
     out.push_str(if retryable { "true" } else { "false" });
     out.push('}');
     respond(id, &out)

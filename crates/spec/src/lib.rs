@@ -21,13 +21,18 @@
 //!   read-first iteration is later than some writing iteration. Supports
 //!   read-in and copy-out.
 //!
-//! The state machines here are *pure*: they mutate tag/directory element
-//! state and report [`FailReason`]s, while `specrt-proto` provides message
-//! timing and `specrt-machine` orchestrates loops. This separation lets
-//! property tests drive the protocols through millions of interleavings
-//! without a simulator in the loop.
-//!
 //! [`privat3`] holds the reduced no-read-in state of Figure 5-b / §4.1.
+//! These modules define the per-element state and write each transition
+//! once; [`ProtocolSpec`] is the one transition API over them. Its element
+//! steps ([`ProtocolSpec::dir_step`], [`ProtocolSpec::cache_step`], the
+//! private-directory steps) are *pure* functions from a state and an event
+//! to a successor and an emission (a message to send or a [`FailReason`]).
+//! `specrt-proto` executes them with message timing, `specrt-machine`
+//! orchestrates loops, and `specrt-check`'s model checker enumerates the
+//! system layer ([`ProtocolSpec::step`]) built from the same steps, so the
+//! protocols can be driven through millions of interleavings without a
+//! simulator in the loop.
+//!
 //! Also here: [`plan`] (which arrays are under which test — the paper's
 //! address-range comparator of §4.1), [`chunking`] (block-cyclic
 //! superiterations and the processor-wise extreme of §4.1), and
@@ -46,16 +51,10 @@ pub mod state_cost;
 pub use chunking::IterationNumbering;
 pub use fail::FailReason;
 pub use fault::FaultKind;
-pub use nonpriv::{
-    nonpriv_cache_read, nonpriv_cache_write, nonpriv_complete_write, nonpriv_on_first_update_fail,
-    FirstUpdateOutcome, NonPrivDirElem, NonPrivReadAction, NonPrivWriteAction,
-};
+pub use nonpriv::NonPrivDirElem;
 pub use plan::{ProtocolKind, TestPlan};
-pub use privat::{
-    priv_cache_read, priv_cache_write, PrivPrivateElem, PrivSharedElem, PrivateReadMissOutcome,
-    PrivateReadOutcome, PrivateWriteMissOutcome, PrivateWriteOutcome,
-};
-pub use privat3::{NoReadInOutcome, PrivNoReadInPrivate, PrivNoReadInShared};
+pub use privat::{PrivPrivateElem, PrivSharedElem};
+pub use privat3::{PrivNoReadInPrivate, PrivNoReadInShared};
 pub use protospec::{
     CacheEmission, CacheEvent, DirElem, DirEmission, DirEvent, Flight, FlightMsg, LineCopy,
     PrivateDirElem, PrivateEffect, PrivateEvent, ProtocolSpec, SpecEmission, SpecMessage,

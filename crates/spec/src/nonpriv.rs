@@ -19,13 +19,18 @@
 //! `First_update` / `ROnly_update` messages, whose races the directory
 //! resolves (algorithms (f)–(h)).
 //!
-//! One deliberate deviation from the paper's literal pseudo-code is
-//! documented at [`NonPrivDirElem::on_first_update`].
+//! The transitions are the non-privatization arms of
+//! [`ProtocolSpec::dir_step`] and [`ProtocolSpec::cache_step`]. One
+//! deliberate deviation from the paper's literal pseudo-code is documented
+//! at the `First_update` transition.
 
 use specrt_cache::{ElemTag, FirstTag};
 use specrt_mem::ProcId;
 
 use crate::fail::FailReason;
+use crate::protospec::{CacheEmission, CacheEvent, DirEmission, DirEvent};
+#[cfg(doc)]
+use crate::ProtocolSpec;
 
 /// Directory-side per-element state for the non-privatization protocol
 /// (Figure 5-a: `log(Proc)`-bit `First` + `NoShr` + `ROnly`).
@@ -37,42 +42,6 @@ pub struct NonPrivDirElem {
     pub no_shr: bool,
     /// Set when the element has been read by more than one processor.
     pub r_only: bool,
-}
-
-/// What a cache-side read must do after the tag check (algorithm (a)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NonPrivReadAction {
-    /// Tag state unchanged or line dirty: no message needed.
-    NoMessage,
-    /// `tag.First` went NONE→OWN on a non-dirty line: notify the home.
-    SendFirstUpdate,
-    /// `tag.ROnly` was set on a non-dirty line: notify the home.
-    SendROnlyUpdate,
-}
-
-/// What a cache-side write must do after the tag check (algorithm (c)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NonPrivWriteAction {
-    /// The line is dirty here: write immediately; tags already updated.
-    WriteNow,
-    /// The line is clean: a `write_req` (upgrade) must go to the home; tags
-    /// are updated when the exclusive grant returns, via
-    /// [`nonpriv_complete_write`].
-    NeedWriteReq,
-}
-
-/// Outcome of the directory processing a `First_update` (algorithm (f)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FirstUpdateOutcome {
-    /// `dir.First` was NONE and now records the sender.
-    Accepted,
-    /// `dir.First` already recorded the sender (message crossed a path that
-    /// already informed the directory); nothing to do.
-    Redundant,
-    /// Another processor won the race: `dir.ROnly` is now set and a
-    /// `First_update_fail` must be bounced to the sender (handled at the
-    /// cache by [`nonpriv_on_first_update_fail`]).
-    Bounced,
 }
 
 impl NonPrivDirElem {
@@ -97,149 +66,6 @@ impl NonPrivDirElem {
         }
     }
 
-    /// Directory part of a read request (algorithm (b)). Call *after*
-    /// merging any dirty owner's tag state via [`merge_writeback`].
-    ///
-    /// # Errors
-    ///
-    /// FAILs when the requester reads data already written by another
-    /// processor.
-    ///
-    /// [`merge_writeback`]: Self::merge_writeback
-    pub fn on_read_req(&mut self, req: ProcId) -> Result<(), FailReason> {
-        if self.first != Some(req) && self.no_shr && self.first.is_some() {
-            return Err(FailReason::ReadOfRemotelyWritten {
-                reader: req,
-                first: self.first,
-            });
-        }
-        match self.first {
-            None => self.first = Some(req),
-            Some(f) if f != req && !self.r_only => self.r_only = true,
-            _ => {}
-        }
-        Ok(())
-    }
-
-    /// Directory part of a write request (algorithm (d)). Call *after*
-    /// invalidating sharers / merging the dirty owner's tag state.
-    ///
-    /// # Errors
-    ///
-    /// FAILs when another processor accessed the element first, or the
-    /// element is marked read-shared.
-    pub fn on_write_req(&mut self, req: ProcId) -> Result<(), FailReason> {
-        let foreign_first = matches!(self.first, Some(f) if f != req);
-        // The `r_only` disjunct is the check the conformance harness can
-        // deliberately disable to prove the fuzzer catches protocol bugs.
-        let r_only_conflict =
-            self.r_only && !crate::fault::active(crate::fault::FaultKind::DropROnlyCheck);
-        if foreign_first || r_only_conflict {
-            return Err(FailReason::WriteConflict {
-                writer: req,
-                first: self.first,
-                r_only: self.r_only,
-            });
-        }
-        self.first = Some(req);
-        self.no_shr = true;
-        Ok(())
-    }
-
-    /// Directory receives a `First_update` from `sender` (algorithm (f)).
-    ///
-    /// Deviation from the paper's literal pseudo-code: when `dir.First`
-    /// already equals the sender the update is treated as redundant instead
-    /// of bouncing (the paper's code would set `ROnly` and bounce, which is
-    /// safe but needlessly conservative; the bounce branch is annotated
-    /// "race between two First_updates", i.e. intended for *different*
-    /// senders).
-    ///
-    /// # Errors
-    ///
-    /// FAILs when the update races with a write that reached the directory
-    /// first (`dir.NoShr` already set).
-    pub fn on_first_update(&mut self, sender: ProcId) -> Result<FirstUpdateOutcome, FailReason> {
-        if self.no_shr {
-            return Err(FailReason::FirstUpdateRace { sender });
-        }
-        match self.first {
-            None => {
-                self.first = Some(sender);
-                Ok(FirstUpdateOutcome::Accepted)
-            }
-            Some(f) if f == sender => Ok(FirstUpdateOutcome::Redundant),
-            Some(_) => {
-                self.r_only = true;
-                Ok(FirstUpdateOutcome::Bounced)
-            }
-        }
-    }
-
-    /// Directory receives an `ROnly_update` (algorithm (h)). A race between
-    /// two `ROnly_update`s needs no bounce: the second is plainly ignored.
-    ///
-    /// # Errors
-    ///
-    /// FAILs when the update races with a write (`dir.NoShr` already set).
-    pub fn on_r_only_update(&mut self, sender: ProcId) -> Result<(), FailReason> {
-        if self.no_shr {
-            return Err(FailReason::ROnlyUpdateRace { sender });
-        }
-        self.r_only = true;
-        Ok(())
-    }
-
-    /// Merges a dirty line's tag state into the directory (algorithm (e),
-    /// and the "update dir.First, dir.Priv and dir.ROnly" steps of (b) and
-    /// (d)). `owner` is the processor whose cache held the dirty line.
-    ///
-    /// Extension over the paper's literal pseudo-code: the merge itself
-    /// checks for conflicts. A processor that holds a line dirty updates tag
-    /// bits of *other elements on the line* without messaging the home, so
-    /// by the time the line is written back the directory may hold a
-    /// different `First` (from an update message that raced in). The merge
-    /// is the first moment both views meet; if together they show an element
-    /// both written and touched by two processors, the speculation FAILs
-    /// here — before any other processor can consume the line, since every
-    /// fetch of a dirty line performs this merge first.
-    ///
-    /// # Errors
-    ///
-    /// FAILs when the combined state leaves the read-only-or-single-
-    /// processor envelope.
-    pub fn merge_writeback(&mut self, tag: ElemTag, owner: ProcId) -> Result<(), FailReason> {
-        let mut multi_proc = false;
-        if tag.first() == FirstTag::Own {
-            match self.first {
-                None => self.first = Some(owner),
-                Some(q) if q == owner => {}
-                Some(_) => multi_proc = true,
-            }
-        }
-        self.no_shr |= tag.no_shr();
-        self.r_only |= tag.r_only();
-        if multi_proc {
-            if self.no_shr {
-                return Err(FailReason::WriteConflict {
-                    writer: owner,
-                    first: self.first,
-                    r_only: self.r_only,
-                });
-            }
-            // Two distinct processors have (only) read the element.
-            self.r_only = true;
-        }
-        if self.no_shr && self.r_only {
-            return Err(FailReason::WriteConflict {
-                writer: owner,
-                first: self.first,
-                r_only: true,
-            });
-        }
-        Ok(())
-    }
-
     /// Projects the directory state into the cache-tag view sent to
     /// `viewer` with a data reply ("Copy dir state to tag state for all the
     /// words in the line").
@@ -255,107 +81,278 @@ impl NonPrivDirElem {
         t
     }
 
-    /// Clears the element's state (loop start).
-    pub fn clear(&mut self) {
-        *self = NonPrivDirElem::default();
-    }
-}
-
-/// Cache-side read of an element whose line is resident (algorithm (a)).
-///
-/// Mutates the tag and reports which (if any) update message must be sent to
-/// the home node; no message is needed when the line is dirty, because any
-/// other processor must fetch the line — tags included — from this cache.
-///
-/// # Errors
-///
-/// FAILs when the tag shows the element written by another processor
-/// (`First == OTHER && NoShr`).
-pub fn nonpriv_cache_read(
-    tag: &mut ElemTag,
-    line_dirty: bool,
-    reader: ProcId,
-) -> Result<NonPrivReadAction, FailReason> {
-    if tag.first() == FirstTag::Other && tag.no_shr() {
-        return Err(FailReason::ReadOfRemotelyWritten {
-            reader,
-            first: None,
-        });
-    }
-    if tag.first() == FirstTag::None {
-        tag.set_first(FirstTag::Own);
-        if !line_dirty {
-            return Ok(NonPrivReadAction::SendFirstUpdate);
+    /// The directory transitions (algorithms (b), (d)–(f) and (h)): the
+    /// non-privatization arm of [`ProtocolSpec::dir_step`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a privatization event.
+    pub(crate) fn step(&mut self, ev: DirEvent) -> Option<DirEmission> {
+        let fail = |reason| Some(DirEmission::Fail(reason));
+        match ev {
+            // Read request (algorithm (b)), run *after* the executor merged
+            // any dirty owner's tag state (`Writeback`). FAILs when the
+            // requester reads data already written by another processor.
+            DirEvent::ReadReq { from: req } => {
+                if self.first != Some(req) && self.no_shr && self.first.is_some() {
+                    return fail(FailReason::ReadOfRemotelyWritten {
+                        reader: req,
+                        first: self.first,
+                    });
+                }
+                match self.first {
+                    None => self.first = Some(req),
+                    Some(f) if f != req && !self.r_only => self.r_only = true,
+                    _ => {}
+                }
+                None
+            }
+            // Write request (algorithm (d)), run *after* the executor
+            // invalidated the sharers and merged the dirty owner's tag
+            // state. FAILs when another processor accessed the element
+            // first, or the element is marked read-shared.
+            DirEvent::WriteReq { from: req } => {
+                let foreign_first = matches!(self.first, Some(f) if f != req);
+                // The `r_only` disjunct is the check the conformance harness can
+                // deliberately disable to prove the fuzzer catches protocol bugs.
+                let r_only_conflict =
+                    self.r_only && !crate::fault::active(crate::fault::FaultKind::DropROnlyCheck);
+                if foreign_first || r_only_conflict {
+                    return fail(FailReason::WriteConflict {
+                        writer: req,
+                        first: self.first,
+                        r_only: self.r_only,
+                    });
+                }
+                self.first = Some(req);
+                self.no_shr = true;
+                None
+            }
+            // Merges a dirty line's tag state into the directory (algorithm
+            // (e), and the "update dir.First, dir.Priv and dir.ROnly" steps
+            // of (b) and (d)). `owner` is the processor whose cache held the
+            // dirty line.
+            //
+            // Extension over the paper's literal pseudo-code: the merge itself
+            // checks for conflicts. A processor that holds a line dirty updates tag
+            // bits of *other elements on the line* without messaging the home, so
+            // by the time the line is written back the directory may hold a
+            // different `First` (from an update message that raced in). The merge
+            // is the first moment both views meet; if together they show an element
+            // both written and touched by two processors, the speculation FAILs
+            // here — before any other processor can consume the line, since every
+            // fetch of a dirty line performs this merge first.
+            DirEvent::Writeback { tag, owner } => {
+                let mut multi_proc = false;
+                if tag.first() == FirstTag::Own {
+                    match self.first {
+                        None => self.first = Some(owner),
+                        Some(q) if q == owner => {}
+                        Some(_) => multi_proc = true,
+                    }
+                }
+                self.no_shr |= tag.no_shr();
+                self.r_only |= tag.r_only();
+                if multi_proc {
+                    if self.no_shr {
+                        return fail(FailReason::WriteConflict {
+                            writer: owner,
+                            first: self.first,
+                            r_only: self.r_only,
+                        });
+                    }
+                    // Two distinct processors have (only) read the element.
+                    self.r_only = true;
+                }
+                if self.no_shr && self.r_only {
+                    return fail(FailReason::WriteConflict {
+                        writer: owner,
+                        first: self.first,
+                        r_only: true,
+                    });
+                }
+                None
+            }
+            // A `First_update` from `sender` (algorithm (f)).
+            //
+            // Deviation from the paper's literal pseudo-code: when `dir.First`
+            // already equals the sender the update is treated as redundant instead
+            // of bouncing (the paper's code would set `ROnly` and bounce, which is
+            // safe but needlessly conservative; the bounce branch is annotated
+            // "race between two First_updates", i.e. intended for *different*
+            // senders).
+            //
+            // FAILs when the update races with a write that reached the
+            // directory first (`dir.NoShr` already set). A losing sender is
+            // bounced a `First_update_fail` (handled at its cache by
+            // `CacheEvent::FirstUpdateFail`).
+            DirEvent::FirstUpdate { sender } => {
+                if self.no_shr {
+                    return fail(FailReason::FirstUpdateRace { sender });
+                }
+                match self.first {
+                    None => {
+                        self.first = Some(sender);
+                        None
+                    }
+                    Some(f) if f == sender => None,
+                    Some(_) => {
+                        self.r_only = true;
+                        Some(DirEmission::SendFirstUpdateFail { target: sender })
+                    }
+                }
+            }
+            // An `ROnly_update` (algorithm (h)). A race between two
+            // `ROnly_update`s needs no bounce: the second is plainly ignored.
+            // FAILs when the update races with a write (`dir.NoShr` set).
+            DirEvent::ROnlyUpdate { sender } => {
+                if self.no_shr {
+                    return fail(FailReason::ROnlyUpdateRace { sender });
+                }
+                self.r_only = true;
+                None
+            }
+            ev => panic!("protocol spec: event {ev:?} does not apply to {self:?}"),
         }
-    } else if tag.first() == FirstTag::Other && !tag.r_only() {
-        tag.set_r_only(true);
-        if !line_dirty {
-            return Ok(NonPrivReadAction::SendROnlyUpdate);
+    }
+}
+
+/// The cache-tag transitions (algorithms (a), (c), (g) and the grant
+/// completion of (d)): the body of [`ProtocolSpec::cache_step`].
+pub(crate) fn tag_step(tag: &mut ElemTag, dirty: bool, ev: CacheEvent) -> Option<CacheEmission> {
+    let fail = |reason| Some(CacheEmission::Fail(reason));
+    match ev {
+        // Read of a resident line (algorithm (a)). No message is needed
+        // when the line is dirty, because any other processor must fetch
+        // the line — tags included — from this cache. FAILs when the tag
+        // shows the element written by another processor
+        // (`First == OTHER && NoShr`).
+        CacheEvent::Read { reader } => {
+            if tag.first() == FirstTag::Other && tag.no_shr() {
+                return fail(FailReason::ReadOfRemotelyWritten {
+                    reader,
+                    first: None,
+                });
+            }
+            if tag.first() == FirstTag::None {
+                tag.set_first(FirstTag::Own);
+                (!dirty).then_some(CacheEmission::SendFirstUpdate)
+            } else if tag.first() == FirstTag::Other && !tag.r_only() {
+                tag.set_r_only(true);
+                (!dirty).then_some(CacheEmission::SendROnlyUpdate)
+            } else {
+                None
+            }
+        }
+        // Write of a resident line (algorithm (c)). On a dirty line the
+        // write proceeds locally and the tags are updated with no directory
+        // message. On a clean line the executor must issue a `write_req`
+        // and apply `CompleteWrite` once the exclusive grant arrives. FAILs
+        // when the element was first accessed by another processor or is
+        // marked read-shared.
+        CacheEvent::Write { writer } => {
+            if tag.first() == FirstTag::Other || tag.r_only() {
+                return fail(FailReason::WriteConflict {
+                    writer,
+                    first: None,
+                    r_only: tag.r_only(),
+                });
+            }
+            if !dirty {
+                return Some(CacheEmission::NeedWriteReq);
+            }
+            tag.set_first(FirstTag::Own);
+            tag.set_no_shr(true);
+            None
+        }
+        // The tag effects of a completed write: `tag.First = OWN`,
+        // `tag.NoShr = 1` ("no need to tell the directory" — the write
+        // request itself already updated it, or the line is dirty).
+        CacheEvent::CompleteWrite => {
+            tag.set_first(FirstTag::Own);
+            tag.set_no_shr(true);
+            None
+        }
+        // A `First_update_fail` bounce (algorithm (g)): this processor was
+        // not first after all. FAILs when the processor had *already
+        // written* the element on the strength of believing it was first
+        // (`tag.First == OWN && tag.NoShr`).
+        CacheEvent::FirstUpdateFail { target } => {
+            if tag.first() == FirstTag::Own && tag.no_shr() {
+                return fail(FailReason::FirstUpdateFailAfterWrite { proc: target });
+            }
+            tag.set_first(FirstTag::Other);
+            tag.set_r_only(true);
+            None
         }
     }
-    Ok(NonPrivReadAction::NoMessage)
-}
-
-/// Cache-side write of an element whose line is resident (algorithm (c)).
-///
-/// On a dirty line the write proceeds locally and the tags are updated with
-/// no directory message. On a clean line the caller must issue a `write_req`
-/// and call [`nonpriv_complete_write`] once the exclusive grant arrives.
-///
-/// # Errors
-///
-/// FAILs when the element was first accessed by another processor or is
-/// marked read-shared.
-pub fn nonpriv_cache_write(
-    tag: &mut ElemTag,
-    line_dirty: bool,
-    writer: ProcId,
-) -> Result<NonPrivWriteAction, FailReason> {
-    if tag.first() == FirstTag::Other || tag.r_only() {
-        return Err(FailReason::WriteConflict {
-            writer,
-            first: None,
-            r_only: tag.r_only(),
-        });
-    }
-    if line_dirty {
-        nonpriv_complete_write(tag);
-        Ok(NonPrivWriteAction::WriteNow)
-    } else {
-        Ok(NonPrivWriteAction::NeedWriteReq)
-    }
-}
-
-/// Applies the tag effects of a completed write: `tag.First = OWN`,
-/// `tag.NoShr = 1` ("no need to tell the directory" — the write request
-/// itself already updated it, or the line is dirty).
-pub fn nonpriv_complete_write(tag: &mut ElemTag) {
-    tag.set_first(FirstTag::Own);
-    tag.set_no_shr(true);
-}
-
-/// Cache receives a `First_update_fail` bounce (algorithm (g)): this
-/// processor was not first after all.
-///
-/// # Errors
-///
-/// FAILs when the processor had *already written* the element on the
-/// strength of believing it was first (`tag.First == OWN && tag.NoShr`).
-pub fn nonpriv_on_first_update_fail(tag: &mut ElemTag, proc: ProcId) -> Result<(), FailReason> {
-    if tag.first() == FirstTag::Own && tag.no_shr() {
-        return Err(FailReason::FirstUpdateFailAfterWrite { proc });
-    }
-    tag.set_first(FirstTag::Other);
-    tag.set_r_only(true);
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protospec::{DirElem, ProtocolSpec};
 
     const P0: ProcId = ProcId(0);
     const P1: ProcId = ProcId(1);
+
+    /// Runs `ev` through [`ProtocolSpec::dir_step`] at `d`, keeping the
+    /// successor.
+    fn dir(d: &mut NonPrivDirElem, ev: DirEvent) -> Option<DirEmission> {
+        let (next, em) = ProtocolSpec::dir_step(DirElem::NonPriv(*d), ev);
+        *d = next.unwrap_nonpriv();
+        em
+    }
+
+    fn read(d: &mut NonPrivDirElem, from: ProcId) -> Option<DirEmission> {
+        dir(d, DirEvent::ReadReq { from })
+    }
+
+    fn write(d: &mut NonPrivDirElem, from: ProcId) -> Option<DirEmission> {
+        dir(d, DirEvent::WriteReq { from })
+    }
+
+    fn first_update(d: &mut NonPrivDirElem, sender: ProcId) -> Option<DirEmission> {
+        dir(d, DirEvent::FirstUpdate { sender })
+    }
+
+    fn r_only_update(d: &mut NonPrivDirElem, sender: ProcId) -> Option<DirEmission> {
+        dir(d, DirEvent::ROnlyUpdate { sender })
+    }
+
+    fn merge(d: &mut NonPrivDirElem, tag: ElemTag, owner: ProcId) -> Option<DirEmission> {
+        dir(d, DirEvent::Writeback { tag, owner })
+    }
+
+    /// Runs `ev` through [`ProtocolSpec::cache_step`] at `t`, keeping the
+    /// successor.
+    fn cache(t: &mut ElemTag, dirty: bool, ev: CacheEvent) -> Option<CacheEmission> {
+        let (next, em) = ProtocolSpec::cache_step(*t, dirty, ev);
+        *t = next;
+        em
+    }
+
+    fn cache_read(t: &mut ElemTag, dirty: bool) -> Option<CacheEmission> {
+        cache(t, dirty, CacheEvent::Read { reader: P0 })
+    }
+
+    fn cache_write(t: &mut ElemTag, dirty: bool) -> Option<CacheEmission> {
+        cache(t, dirty, CacheEvent::Write { writer: P0 })
+    }
+
+    fn dir_fail(em: Option<DirEmission>) -> FailReason {
+        match em {
+            Some(DirEmission::Fail(reason)) => reason,
+            other => panic!("expected a FAIL, got {other:?}"),
+        }
+    }
+
+    fn cache_fail(em: Option<CacheEmission>) -> FailReason {
+        match em {
+            Some(CacheEmission::Fail(reason)) => reason,
+            other => panic!("expected a FAIL, got {other:?}"),
+        }
+    }
 
     // ---- directory-level sequences (as if uncached) ----
 
@@ -363,22 +360,22 @@ mod tests {
     fn state_labels_follow_transitions() {
         let mut d = NonPrivDirElem::default();
         assert_eq!(d.state_label(), "Clear");
-        d.on_read_req(P0).unwrap();
+        assert_eq!(read(&mut d, P0), None);
         assert_eq!(d.state_label(), "First(cpu0)");
-        d.on_read_req(P1).unwrap();
+        assert_eq!(read(&mut d, P1), None);
         assert_eq!(d.state_label(), "ROnly,First(cpu0)");
         let mut w = NonPrivDirElem::default();
-        w.on_write_req(P1).unwrap();
+        assert_eq!(write(&mut w, P1), None);
         assert_eq!(w.state_label(), "NoShr,First(cpu1)");
     }
 
     #[test]
     fn single_processor_read_write_passes() {
         let mut d = NonPrivDirElem::default();
-        d.on_read_req(P0).unwrap();
-        d.on_write_req(P0).unwrap();
-        d.on_read_req(P0).unwrap();
-        d.on_write_req(P0).unwrap();
+        assert_eq!(read(&mut d, P0), None);
+        assert_eq!(write(&mut d, P0), None);
+        assert_eq!(read(&mut d, P0), None);
+        assert_eq!(write(&mut d, P0), None);
         assert_eq!(d.first, Some(P0));
         assert!(d.no_shr);
         assert!(!d.r_only);
@@ -387,9 +384,9 @@ mod tests {
     #[test]
     fn read_only_sharing_passes() {
         let mut d = NonPrivDirElem::default();
-        d.on_read_req(P0).unwrap();
-        d.on_read_req(P1).unwrap();
-        d.on_read_req(P0).unwrap();
+        assert_eq!(read(&mut d, P0), None);
+        assert_eq!(read(&mut d, P1), None);
+        assert_eq!(read(&mut d, P0), None);
         assert!(d.r_only);
         assert!(!d.no_shr);
     }
@@ -397,25 +394,25 @@ mod tests {
     #[test]
     fn remote_read_after_write_fails() {
         let mut d = NonPrivDirElem::default();
-        d.on_write_req(P0).unwrap();
-        let err = d.on_read_req(P1).unwrap_err();
+        assert_eq!(write(&mut d, P0), None);
+        let err = dir_fail(read(&mut d, P1));
         assert!(matches!(err, FailReason::ReadOfRemotelyWritten { reader, .. } if reader == P1));
     }
 
     #[test]
     fn write_after_foreign_first_fails() {
         let mut d = NonPrivDirElem::default();
-        d.on_read_req(P0).unwrap();
-        let err = d.on_write_req(P1).unwrap_err();
+        assert_eq!(read(&mut d, P0), None);
+        let err = dir_fail(write(&mut d, P1));
         assert!(matches!(err, FailReason::WriteConflict { writer, .. } if writer == P1));
     }
 
     #[test]
     fn write_to_read_shared_element_fails_even_for_first() {
         let mut d = NonPrivDirElem::default();
-        d.on_read_req(P0).unwrap();
-        d.on_read_req(P1).unwrap(); // sets ROnly
-        let err = d.on_write_req(P0).unwrap_err();
+        assert_eq!(read(&mut d, P0), None);
+        assert_eq!(read(&mut d, P1), None); // sets ROnly
+        let err = dir_fail(write(&mut d, P0));
         assert!(matches!(
             err,
             FailReason::WriteConflict { r_only: true, .. }
@@ -427,8 +424,8 @@ mod tests {
         // The paper's §3.2 race walk-through: both writes serialize at the
         // directory; the second finds NoShr set by the first.
         let mut d = NonPrivDirElem::default();
-        d.on_write_req(P0).unwrap();
-        assert!(d.on_write_req(P1).is_err());
+        assert_eq!(write(&mut d, P0), None);
+        dir_fail(write(&mut d, P1));
     }
 
     // ---- update-message races (algorithms (f)-(h)) ----
@@ -436,8 +433,12 @@ mod tests {
     #[test]
     fn first_update_accepted_then_bounced() {
         let mut d = NonPrivDirElem::default();
-        assert_eq!(d.on_first_update(P0).unwrap(), FirstUpdateOutcome::Accepted);
-        assert_eq!(d.on_first_update(P1).unwrap(), FirstUpdateOutcome::Bounced);
+        assert_eq!(first_update(&mut d, P0), None);
+        assert_eq!(d.first, Some(P0));
+        assert_eq!(
+            first_update(&mut d, P1),
+            Some(DirEmission::SendFirstUpdateFail { target: P1 })
+        );
         assert!(
             d.r_only,
             "losing a First_update race marks the element read-shared"
@@ -447,36 +448,33 @@ mod tests {
     #[test]
     fn first_update_redundant_for_same_sender() {
         let mut d = NonPrivDirElem::default();
-        d.on_first_update(P0).unwrap();
-        assert_eq!(
-            d.on_first_update(P0).unwrap(),
-            FirstUpdateOutcome::Redundant
-        );
+        assert_eq!(first_update(&mut d, P0), None);
+        assert_eq!(first_update(&mut d, P0), None);
         assert!(!d.r_only);
     }
 
     #[test]
     fn first_update_vs_write_race_fails() {
         let mut d = NonPrivDirElem::default();
-        d.on_write_req(P0).unwrap();
-        let err = d.on_first_update(P1).unwrap_err();
+        assert_eq!(write(&mut d, P0), None);
+        let err = dir_fail(first_update(&mut d, P1));
         assert!(matches!(err, FailReason::FirstUpdateRace { sender } if sender == P1));
     }
 
     #[test]
     fn r_only_update_vs_write_race_fails() {
         let mut d = NonPrivDirElem::default();
-        d.on_write_req(P0).unwrap();
-        assert!(d.on_r_only_update(P1).is_err());
+        assert_eq!(write(&mut d, P0), None);
+        dir_fail(r_only_update(&mut d, P1));
     }
 
     #[test]
     fn r_only_update_race_between_readers_is_benign() {
         let mut d = NonPrivDirElem::default();
-        d.on_read_req(P0).unwrap();
-        d.on_read_req(P1).unwrap();
-        d.on_r_only_update(P0).unwrap();
-        d.on_r_only_update(P1).unwrap(); // second plainly ignored
+        assert_eq!(read(&mut d, P0), None);
+        assert_eq!(read(&mut d, P1), None);
+        assert_eq!(r_only_update(&mut d, P0), None);
+        assert_eq!(r_only_update(&mut d, P1), None); // second plainly ignored
         assert!(d.r_only);
     }
 
@@ -485,16 +483,17 @@ mod tests {
     #[test]
     fn cache_read_first_touch_sends_first_update_when_clean() {
         let mut t = ElemTag::CLEAR;
-        let action = nonpriv_cache_read(&mut t, false, P0).unwrap();
-        assert_eq!(action, NonPrivReadAction::SendFirstUpdate);
+        assert_eq!(
+            cache_read(&mut t, false),
+            Some(CacheEmission::SendFirstUpdate)
+        );
         assert_eq!(t.first(), FirstTag::Own);
     }
 
     #[test]
     fn cache_read_first_touch_on_dirty_line_is_silent() {
         let mut t = ElemTag::CLEAR;
-        let action = nonpriv_cache_read(&mut t, true, P0).unwrap();
-        assert_eq!(action, NonPrivReadAction::NoMessage);
+        assert_eq!(cache_read(&mut t, true), None);
         assert_eq!(t.first(), FirstTag::Own);
     }
 
@@ -502,12 +501,13 @@ mod tests {
     fn cache_read_sets_r_only_when_other_was_first() {
         let mut t = ElemTag::CLEAR;
         t.set_first(FirstTag::Other);
-        let action = nonpriv_cache_read(&mut t, false, P0).unwrap();
-        assert_eq!(action, NonPrivReadAction::SendROnlyUpdate);
+        assert_eq!(
+            cache_read(&mut t, false),
+            Some(CacheEmission::SendROnlyUpdate)
+        );
         assert!(t.r_only());
         // A second read needs no further message.
-        let action = nonpriv_cache_read(&mut t, false, P0).unwrap();
-        assert_eq!(action, NonPrivReadAction::NoMessage);
+        assert_eq!(cache_read(&mut t, false), None);
     }
 
     #[test]
@@ -515,14 +515,13 @@ mod tests {
         let mut t = ElemTag::CLEAR;
         t.set_first(FirstTag::Other);
         t.set_no_shr(true);
-        assert!(nonpriv_cache_read(&mut t, false, P0).is_err());
+        cache_fail(cache_read(&mut t, false));
     }
 
     #[test]
     fn cache_write_dirty_line_proceeds_and_tags() {
         let mut t = ElemTag::CLEAR;
-        let a = nonpriv_cache_write(&mut t, true, P0).unwrap();
-        assert_eq!(a, NonPrivWriteAction::WriteNow);
+        assert_eq!(cache_write(&mut t, true), None);
         assert_eq!(t.first(), FirstTag::Own);
         assert!(t.no_shr());
     }
@@ -530,11 +529,13 @@ mod tests {
     #[test]
     fn cache_write_clean_line_needs_upgrade() {
         let mut t = ElemTag::CLEAR;
-        let a = nonpriv_cache_write(&mut t, false, P0).unwrap();
-        assert_eq!(a, NonPrivWriteAction::NeedWriteReq);
+        assert_eq!(
+            cache_write(&mut t, false),
+            Some(CacheEmission::NeedWriteReq)
+        );
         // Tags are not yet updated; they are set on grant completion.
         assert_eq!(t.first(), FirstTag::None);
-        nonpriv_complete_write(&mut t);
+        assert_eq!(cache(&mut t, true, CacheEvent::CompleteWrite), None);
         assert_eq!(t.first(), FirstTag::Own);
         assert!(t.no_shr());
     }
@@ -543,17 +544,20 @@ mod tests {
     fn cache_write_fails_on_other_first_or_r_only() {
         let mut t = ElemTag::CLEAR;
         t.set_first(FirstTag::Other);
-        assert!(nonpriv_cache_write(&mut t, false, P0).is_err());
+        cache_fail(cache_write(&mut t, false));
         let mut t = ElemTag::CLEAR;
         t.set_r_only(true);
-        assert!(nonpriv_cache_write(&mut t, true, P0).is_err());
+        cache_fail(cache_write(&mut t, true));
     }
 
     #[test]
     fn first_update_fail_bounce_without_write_demotes() {
         let mut t = ElemTag::CLEAR;
         t.set_first(FirstTag::Own);
-        nonpriv_on_first_update_fail(&mut t, P0).unwrap();
+        assert_eq!(
+            cache(&mut t, false, CacheEvent::FirstUpdateFail { target: P0 }),
+            None
+        );
         assert_eq!(t.first(), FirstTag::Other);
         assert!(t.r_only());
     }
@@ -565,7 +569,11 @@ mod tests {
         let mut t = ElemTag::CLEAR;
         t.set_first(FirstTag::Own);
         t.set_no_shr(true);
-        let err = nonpriv_on_first_update_fail(&mut t, P1).unwrap_err();
+        let err = cache_fail(cache(
+            &mut t,
+            false,
+            CacheEvent::FirstUpdateFail { target: P1 },
+        ));
         assert!(matches!(err, FailReason::FirstUpdateFailAfterWrite { proc } if proc == P1));
     }
 
@@ -574,7 +582,7 @@ mod tests {
     #[test]
     fn to_tag_maps_first_to_viewpoint() {
         let mut d = NonPrivDirElem::default();
-        d.on_write_req(P0).unwrap();
+        assert_eq!(write(&mut d, P0), None);
         let own = d.to_tag(P0);
         assert_eq!(own.first(), FirstTag::Own);
         assert!(own.no_shr());
@@ -590,17 +598,17 @@ mod tests {
         // directory never heard about it until the write-back.
         t.set_first(FirstTag::Own);
         t.set_no_shr(true);
-        d.merge_writeback(t, P1).unwrap();
+        assert_eq!(merge(&mut d, t, P1), None);
         assert_eq!(d.first, Some(P1));
         assert!(d.no_shr);
         // A read by another processor now fails, as required.
-        assert!(d.on_read_req(P0).is_err());
+        dir_fail(read(&mut d, P0));
     }
 
     #[test]
     fn merge_writeback_of_untouched_tag_is_noop() {
         let mut d = NonPrivDirElem::default();
-        d.merge_writeback(ElemTag::CLEAR, P1).unwrap();
+        assert_eq!(merge(&mut d, ElemTag::CLEAR, P1), None);
         assert_eq!(d, NonPrivDirElem::default());
     }
 
@@ -609,11 +617,11 @@ mod tests {
         // P0's First_update (from a read) reached the directory while P1
         // held the line dirty and wrote the element without messaging.
         let mut d = NonPrivDirElem::default();
-        d.on_first_update(P0).unwrap();
+        assert_eq!(first_update(&mut d, P0), None);
         let mut t = ElemTag::CLEAR;
         t.set_first(FirstTag::Own);
         t.set_no_shr(true);
-        let err = d.merge_writeback(t, P1).unwrap_err();
+        let err = dir_fail(merge(&mut d, t, P1));
         assert!(matches!(err, FailReason::WriteConflict { writer, .. } if writer == P1));
     }
 
@@ -623,22 +631,14 @@ mod tests {
         // held dirty (for some other element) — silent. The merge must
         // conclude "read by two processors" without failing.
         let mut d = NonPrivDirElem::default();
-        d.on_first_update(P0).unwrap();
+        assert_eq!(first_update(&mut d, P0), None);
         let mut t = ElemTag::CLEAR;
         t.set_first(FirstTag::Own); // P1 believed it was first
-        d.merge_writeback(t, P1).unwrap();
+        assert_eq!(merge(&mut d, t, P1), None);
         assert!(d.r_only);
         assert_eq!(d.first, Some(P0));
         // A later write by anyone now fails.
-        assert!(d.on_write_req(P0).is_err());
-    }
-
-    #[test]
-    fn clear_resets_dir_elem() {
-        let mut d = NonPrivDirElem::default();
-        d.on_write_req(P0).unwrap();
-        d.clear();
-        assert_eq!(d, NonPrivDirElem::default());
+        dir_fail(write(&mut d, P0));
     }
 
     // ---- order-independence property of the envelope ----
@@ -662,11 +662,11 @@ mod tests {
                 let mut d = NonPrivDirElem::default();
                 let mut failed = false;
                 for a in &seq {
-                    let r = match a {
-                        Acc::R(p) => d.on_read_req(*p),
-                        Acc::W(p) => d.on_write_req(*p),
+                    let em = match a {
+                        Acc::R(p) => read(&mut d, *p),
+                        Acc::W(p) => write(&mut d, *p),
                     };
-                    if r.is_err() {
+                    if em.is_some() {
                         failed = true;
                         break;
                     }

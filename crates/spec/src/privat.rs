@@ -20,10 +20,11 @@
 //! coarser effective numbers before calling in — see
 //! [`crate::chunking::IterationNumbering`].
 
-use specrt_cache::ElemTag;
-
 use crate::fail::FailReason;
 use crate::fault;
+use crate::protospec::{DirEmission, DirEvent, PrivateEffect, PrivateEvent};
+#[cfg(doc)]
+use crate::ProtocolSpec;
 
 /// Sentinel for `MinW` before any write has been observed.
 const NO_WRITE: u64 = u64::MAX;
@@ -61,106 +62,93 @@ impl PrivSharedElem {
         format!("MaxR1st={},MinW={min_w}", self.max_r1st)
     }
 
-    /// Handles a read-first signal or a read-in request (algorithms (d) and
-    /// (e)): both run the same test and stamp update; whether a data line is
-    /// also returned is the protocol layer's business.
-    ///
-    /// # Errors
-    ///
-    /// FAILs when `iter` is later than an already-recorded writing iteration
-    /// (`iter > MinW`): some earlier iteration produced a value this
-    /// iteration should have consumed — a flow dependence.
+    /// The shared-directory stamp tests (algorithms (d), (e), (i) and (j)):
+    /// the privatization arm of [`ProtocolSpec::dir_step`].
     ///
     /// # Panics
     ///
-    /// Panics if `iter` is 0 (stamps are 1-based).
-    pub fn on_read_first(&mut self, iter: u64) -> Result<(), FailReason> {
-        assert!(iter > 0, "effective iteration stamps are 1-based");
-        // Injectable bug (`swap-ts-compare`): the Fig. 8 comparison runs
-        // inverted, failing legal read-firsts and passing flow hazards. The
-        // stamp invariant no longer holds under it, so the debug asserts
-        // below are gated off while it is active — the conformance harness
-        // must catch the bug through the oracle, not through an assert.
-        let swapped = fault::active(fault::FaultKind::SwapTsCompare);
-        let fails = if swapped {
-            iter <= self.min_w
-        } else {
-            iter > self.min_w
-        };
-        if fails {
-            return Err(FailReason::ReadFirstAfterWrite {
-                iter,
-                min_w: self.min_w,
-            });
+    /// Panics on a non-privatization event, or if `iter` is 0 (stamps are
+    /// 1-based).
+    pub(crate) fn step(&mut self, ev: DirEvent) -> Option<DirEmission> {
+        match ev {
+            // A read-first signal or a read-in request (algorithms (d) and
+            // (e)): both run the same test and stamp update; whether a data
+            // line is also returned is the executor's business. FAILs when
+            // `iter` is later than an already-recorded writing iteration
+            // (`iter > MinW`): some earlier iteration produced a value this
+            // iteration should have consumed — a flow dependence.
+            DirEvent::ReadFirst { iter } => {
+                assert!(iter > 0, "effective iteration stamps are 1-based");
+                // Injectable bug (`swap-ts-compare`): the Fig. 8 comparison runs
+                // inverted, failing legal read-firsts and passing flow hazards. The
+                // stamp invariant no longer holds under it, so the debug asserts
+                // below are gated off while it is active — the conformance harness
+                // must catch the bug through the oracle, not through an assert.
+                let swapped = fault::active(fault::FaultKind::SwapTsCompare);
+                let fails = if swapped {
+                    iter <= self.min_w
+                } else {
+                    iter > self.min_w
+                };
+                if fails {
+                    return Some(DirEmission::Fail(FailReason::ReadFirstAfterWrite {
+                        iter,
+                        min_w: self.min_w,
+                    }));
+                }
+                // Injectable bug (`drop-maxr1st`): the stamp update is lost, so a
+                // later first-write tests against a stale `MaxR1st`.
+                if fault::active(fault::FaultKind::DropMaxR1stUpdate) {
+                    return None;
+                }
+                #[cfg(debug_assertions)]
+                let old = self.max_r1st;
+                self.max_r1st = self.max_r1st.max(iter);
+                #[cfg(debug_assertions)]
+                {
+                    debug_assert!(self.max_r1st >= old, "MaxR1st must never decrease");
+                    debug_assert!(
+                        swapped || self.max_r1st <= self.min_w,
+                        "stamp invariant broken: MaxR1st={} > MinW={}",
+                        self.max_r1st,
+                        self.min_w
+                    );
+                }
+                None
+            }
+            // A first-write signal or a read-in-for-write request
+            // (algorithms (i) and (j)). FAILs when `iter` is earlier than an
+            // already-recorded read-first iteration (`iter < MaxR1st`): a
+            // later iteration already read the value this write would have
+            // replaced — an anti/flow hazard.
+            DirEvent::FirstWrite { iter } => {
+                assert!(iter > 0, "effective iteration stamps are 1-based");
+                if iter < self.max_r1st {
+                    return Some(DirEmission::Fail(FailReason::WriteBeforeReadFirst {
+                        iter,
+                        max_r1st: self.max_r1st,
+                    }));
+                }
+                #[cfg(debug_assertions)]
+                let old = self.min_w;
+                self.min_w = self.min_w.min(iter);
+                #[cfg(debug_assertions)]
+                {
+                    debug_assert!(self.min_w <= old, "MinW must never increase");
+                    // An active `swap-ts-compare` injection corrupts the stamps by
+                    // design; see the read-first transition.
+                    debug_assert!(
+                        fault::active(fault::FaultKind::SwapTsCompare)
+                            || self.max_r1st <= self.min_w,
+                        "stamp invariant broken: MaxR1st={} > MinW={}",
+                        self.max_r1st,
+                        self.min_w
+                    );
+                }
+                None
+            }
+            ev => panic!("protocol spec: event {ev:?} does not apply to {self:?}"),
         }
-        // Injectable bug (`drop-maxr1st`): the stamp update is lost, so a
-        // later first-write tests against a stale `MaxR1st`.
-        if fault::active(fault::FaultKind::DropMaxR1stUpdate) {
-            return Ok(());
-        }
-        #[cfg(debug_assertions)]
-        let old = self.max_r1st;
-        self.max_r1st = self.max_r1st.max(iter);
-        #[cfg(debug_assertions)]
-        {
-            debug_assert!(self.max_r1st >= old, "MaxR1st must never decrease");
-            debug_assert!(
-                swapped || self.max_r1st <= self.min_w,
-                "stamp invariant broken: MaxR1st={} > MinW={}",
-                self.max_r1st,
-                self.min_w
-            );
-        }
-        Ok(())
-    }
-
-    /// Handles a first-write signal or a read-in-for-write request
-    /// (algorithms (i) and (j)).
-    ///
-    /// # Errors
-    ///
-    /// FAILs when `iter` is earlier than an already-recorded read-first
-    /// iteration (`iter < MaxR1st`): a later iteration already read the
-    /// value this write would have replaced — an anti/flow hazard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `iter` is 0.
-    pub fn on_first_write(&mut self, iter: u64) -> Result<(), FailReason> {
-        assert!(iter > 0, "effective iteration stamps are 1-based");
-        if iter < self.max_r1st {
-            return Err(FailReason::WriteBeforeReadFirst {
-                iter,
-                max_r1st: self.max_r1st,
-            });
-        }
-        #[cfg(debug_assertions)]
-        let old = self.min_w;
-        self.min_w = self.min_w.min(iter);
-        #[cfg(debug_assertions)]
-        {
-            debug_assert!(self.min_w <= old, "MinW must never increase");
-            // An active `swap-ts-compare` injection corrupts the stamps by
-            // design; see `on_read_first`.
-            debug_assert!(
-                fault::active(fault::FaultKind::SwapTsCompare) || self.max_r1st <= self.min_w,
-                "stamp invariant broken: MaxR1st={} > MinW={}",
-                self.max_r1st,
-                self.min_w
-            );
-        }
-        Ok(())
-    }
-
-    /// Whether any write has been recorded (used by copy-out).
-    pub fn written(&self) -> bool {
-        self.min_w != NO_WRITE
-    }
-
-    /// Clears the element's stamps (loop start, or periodic stamp-overflow
-    /// resynchronization — §3.3).
-    pub fn clear(&mut self) {
-        *self = PrivSharedElem::default();
     }
 }
 
@@ -175,168 +163,148 @@ pub struct PrivPrivateElem {
     pub pmax_w: u64,
 }
 
-/// What the private directory decided for a read miss (algorithm (c)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrivateReadMissOutcome {
-    /// First touch of the whole line: fetch the data from the *shared*
-    /// array (read-in); the shared directory must run the read-first test.
-    ReadIn,
-    /// A read-first iteration for this element: signal the shared
-    /// directory; data comes from the private copy.
-    ReadFirst,
-    /// Plain refill from the private copy; no shared-directory traffic.
-    Plain,
-}
-
-/// What the private directory decided for a write miss (algorithm (h)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrivateWriteMissOutcome {
-    /// First write of this processor to the element and first touch of the
-    /// line: fetch the line from the shared array (read-in for write); the
-    /// shared directory must run the first-write test.
-    ReadInForWrite,
-    /// First write of this processor to the element (line already
-    /// resident in the private copy): forward a first-write signal to the
-    /// shared directory.
-    NotifyShared,
-    /// Not the processor's first write: handled entirely locally.
-    Local,
-}
-
 impl PrivPrivateElem {
-    /// Whether neither stamp is set (element untouched by this processor).
-    pub fn is_untouched(&self) -> bool {
-        self.pmax_r1st == 0 && self.pmax_w == 0
-    }
-
-    /// Private directory receives a read-first *signal* from its processor's
-    /// cache (algorithm (b)): records the stamp. The caller must forward the
-    /// signal to the shared directory unconditionally.
+    /// The private-directory transitions (algorithms (b), (c), (g) and
+    /// (h)): the body of [`ProtocolSpec::private_step`].
     ///
     /// # Panics
     ///
-    /// Panics if `iter` is 0.
-    pub fn on_read_first_signal(&mut self, iter: u64) {
-        assert!(iter > 0, "effective iteration stamps are 1-based");
-        self.pmax_r1st = self.pmax_r1st.max(iter);
-    }
-
-    /// Private directory receives a read *request* (cache miss, algorithm
-    /// (c)). `line_untouched` is true when every element of the requested
-    /// memory line has both stamps zero (the read-in test).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `iter` is 0.
-    pub fn on_read_miss(&mut self, iter: u64, line_untouched: bool) -> PrivateReadMissOutcome {
-        assert!(iter > 0, "effective iteration stamps are 1-based");
-        if line_untouched {
-            self.pmax_r1st = iter;
-            PrivateReadMissOutcome::ReadIn
-        } else if self.pmax_r1st < iter && self.pmax_w < iter {
-            self.pmax_r1st = iter;
-            PrivateReadMissOutcome::ReadFirst
-        } else {
-            PrivateReadMissOutcome::Plain
-        }
-    }
-
-    /// Private directory receives a first-write *signal* from its cache
-    /// (algorithm (g)). Returns whether the shared directory must also be
-    /// notified (only on the processor's very first write to the element).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `iter` is 0.
-    pub fn on_first_write_signal(&mut self, iter: u64) -> bool {
-        assert!(iter > 0, "effective iteration stamps are 1-based");
-        if self.pmax_w == 0 {
-            self.pmax_w = iter;
-            true
-        } else {
-            if self.pmax_w < iter {
-                self.pmax_w = iter;
+    /// Panics if the event's `iter` is 0.
+    pub(crate) fn step(&mut self, ev: PrivateEvent) -> PrivateEffect {
+        match ev {
+            // A read-first *signal* from the processor's cache (algorithm
+            // (b)): records the stamp; the executor forwards the signal to
+            // the shared directory unconditionally.
+            PrivateEvent::ReadFirstSignal { iter } => {
+                assert!(iter > 0, "effective iteration stamps are 1-based");
+                self.pmax_r1st = self.pmax_r1st.max(iter);
+                PrivateEffect::SignalReadFirst
             }
-            false
-        }
-    }
-
-    /// Private directory receives a write *request* (cache miss, algorithm
-    /// (h)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `iter` is 0.
-    pub fn on_write_miss(&mut self, iter: u64, line_untouched: bool) -> PrivateWriteMissOutcome {
-        assert!(iter > 0, "effective iteration stamps are 1-based");
-        if self.pmax_w == 0 {
-            let out = if line_untouched {
-                PrivateWriteMissOutcome::ReadInForWrite
-            } else {
-                PrivateWriteMissOutcome::NotifyShared
-            };
-            self.pmax_w = iter;
-            out
-        } else {
-            if self.pmax_w < iter {
-                self.pmax_w = iter;
+            // A read *request* (cache miss, algorithm (c)). `line_untouched`
+            // is true when every element of the requested memory line has
+            // never been read in or written (the read-in test): the data then
+            // comes from the *shared* array and the shared directory runs the
+            // read-first test. Otherwise a read-first iteration signals the
+            // shared directory, and any other read is a plain refill from the
+            // private copy.
+            PrivateEvent::ReadMiss {
+                iter,
+                line_untouched,
+            } => {
+                assert!(iter > 0, "effective iteration stamps are 1-based");
+                if line_untouched {
+                    self.pmax_r1st = iter;
+                    PrivateEffect::TestReadFirst
+                } else if self.pmax_r1st < iter && self.pmax_w < iter {
+                    self.pmax_r1st = iter;
+                    PrivateEffect::SignalReadFirst
+                } else {
+                    PrivateEffect::None
+                }
             }
-            PrivateWriteMissOutcome::Local
+            // A first-write *signal* from the cache (algorithm (g)): the
+            // shared directory is notified only on the processor's very first
+            // write to the element.
+            PrivateEvent::FirstWriteSignal { iter } => {
+                assert!(iter > 0, "effective iteration stamps are 1-based");
+                let first = self.pmax_w == 0;
+                self.pmax_w = self.pmax_w.max(iter);
+                if first {
+                    PrivateEffect::SignalFirstWrite
+                } else {
+                    PrivateEffect::None
+                }
+            }
+            // A write *request* (cache miss, algorithm (h)). The processor's
+            // first write to the element reads the line in from the shared
+            // array when the line is untouched (the shared directory runs the
+            // first-write test), and otherwise signals the shared directory;
+            // any later write is handled entirely locally.
+            PrivateEvent::WriteMiss {
+                iter,
+                line_untouched,
+            } => {
+                assert!(iter > 0, "effective iteration stamps are 1-based");
+                let first = self.pmax_w == 0;
+                self.pmax_w = self.pmax_w.max(iter);
+                match (first, line_untouched) {
+                    (true, true) => PrivateEffect::TestFirstWrite,
+                    (true, false) => PrivateEffect::SignalFirstWrite,
+                    (false, _) => PrivateEffect::None,
+                }
+            }
         }
-    }
-
-    /// Clears the stamps (loop start).
-    pub fn clear(&mut self) {
-        *self = PrivPrivateElem::default();
-    }
-}
-
-/// Outcome of a cache-resident read under the privatization protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrivateReadOutcome {
-    /// Neither `Read1st` nor `Write` was set for this iteration: a
-    /// read-first; the private directory (and from there the shared
-    /// directory) must be signalled.
-    ReadFirstSignal,
-    /// The iteration already read or wrote the element; nothing to send.
-    NoSignal,
-}
-
-/// Outcome of a cache-resident write under the privatization protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrivateWriteOutcome {
-    /// First write of this iteration to the element: signal the private
-    /// directory.
-    FirstWriteSignal,
-    /// The iteration already wrote the element; nothing to send.
-    NoSignal,
-}
-
-/// Cache-side read hit (algorithm (a)): checks/sets the per-iteration
-/// `Read1st` bit.
-pub fn priv_cache_read(tag: &mut ElemTag) -> PrivateReadOutcome {
-    if !tag.read1st() && !tag.write() {
-        tag.set_read1st(true);
-        PrivateReadOutcome::ReadFirstSignal
-    } else {
-        PrivateReadOutcome::NoSignal
-    }
-}
-
-/// Cache-side write hit (algorithm (f)): checks/sets the per-iteration
-/// `Write` bit.
-pub fn priv_cache_write(tag: &mut ElemTag) -> PrivateWriteOutcome {
-    if !tag.write() {
-        tag.set_write(true);
-        PrivateWriteOutcome::FirstWriteSignal
-    } else {
-        PrivateWriteOutcome::NoSignal
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protospec::{DirElem, ProtocolSpec};
+    use specrt_cache::ElemTag;
+
+    /// Runs `ev` through [`ProtocolSpec::dir_step`] at `s`, keeping the
+    /// successor; `Err` carries a FAIL.
+    fn dir(s: &mut PrivSharedElem, ev: DirEvent) -> Result<(), FailReason> {
+        let (next, em) = ProtocolSpec::dir_step(DirElem::Priv(*s), ev);
+        let DirElem::Priv(next) = next else {
+            panic!("variant changed: {next:?}")
+        };
+        *s = next;
+        match em {
+            None => Ok(()),
+            Some(DirEmission::Fail(reason)) => Err(reason),
+            Some(other) => panic!("unexpected emission {other:?}"),
+        }
+    }
+
+    fn read_first(s: &mut PrivSharedElem, iter: u64) -> Result<(), FailReason> {
+        dir(s, DirEvent::ReadFirst { iter })
+    }
+
+    fn first_write(s: &mut PrivSharedElem, iter: u64) -> Result<(), FailReason> {
+        dir(s, DirEvent::FirstWrite { iter })
+    }
+
+    /// Runs `ev` through [`ProtocolSpec::private_step`] at `p`, keeping the
+    /// successor.
+    fn private(p: &mut PrivPrivateElem, ev: PrivateEvent) -> PrivateEffect {
+        let (next, effect) = ProtocolSpec::private_step(*p, ev);
+        *p = next;
+        effect
+    }
+
+    fn read_miss(p: &mut PrivPrivateElem, iter: u64, line_untouched: bool) -> PrivateEffect {
+        private(
+            p,
+            PrivateEvent::ReadMiss {
+                iter,
+                line_untouched,
+            },
+        )
+    }
+
+    fn write_miss(p: &mut PrivPrivateElem, iter: u64, line_untouched: bool) -> PrivateEffect {
+        private(
+            p,
+            PrivateEvent::WriteMiss {
+                iter,
+                line_untouched,
+            },
+        )
+    }
+
+    fn cache_read(t: &mut ElemTag) -> bool {
+        let (next, signal) = ProtocolSpec::private_cache_read(*t);
+        *t = next;
+        signal
+    }
+
+    fn cache_write(t: &mut ElemTag) -> bool {
+        let (next, signal) = ProtocolSpec::private_cache_write(*t);
+        *t = next;
+        signal
+    }
 
     // ---- shared-directory stamp tests ----
 
@@ -344,46 +312,46 @@ mod tests {
     fn reads_then_later_writes_pass() {
         // Figure 3 pattern: early iterations read, later iterations write.
         let mut s = PrivSharedElem::default();
-        s.on_read_first(1).unwrap();
-        s.on_read_first(2).unwrap();
-        s.on_first_write(2).unwrap(); // same iteration as the last read-first
-        s.on_first_write(5).unwrap();
+        read_first(&mut s, 1).unwrap();
+        read_first(&mut s, 2).unwrap();
+        first_write(&mut s, 2).unwrap(); // same iteration as the last read-first
+        first_write(&mut s, 5).unwrap();
         assert_eq!(s.max_r1st, 2);
         assert_eq!(s.min_w, 2);
-        assert!(s.written());
+        assert_ne!(s.min_w, NO_WRITE, "a write is recorded");
     }
 
     #[test]
     fn stamp_labels_render_compactly() {
         let mut s = PrivSharedElem::default();
         assert_eq!(s.state_label(), "MaxR1st=0,MinW=inf");
-        s.on_read_first(3).unwrap();
-        s.on_first_write(4).unwrap();
+        read_first(&mut s, 3).unwrap();
+        first_write(&mut s, 4).unwrap();
         assert_eq!(s.state_label(), "MaxR1st=3,MinW=4");
     }
 
     #[test]
     fn read_first_after_write_fails() {
         let mut s = PrivSharedElem::default();
-        s.on_first_write(3).unwrap();
-        let err = s.on_read_first(5).unwrap_err();
+        first_write(&mut s, 3).unwrap();
+        let err = read_first(&mut s, 5).unwrap_err();
         assert_eq!(err, FailReason::ReadFirstAfterWrite { iter: 5, min_w: 3 });
     }
 
     #[test]
     fn read_first_before_or_at_min_write_passes() {
         let mut s = PrivSharedElem::default();
-        s.on_first_write(3).unwrap();
-        s.on_read_first(3).unwrap(); // same iteration: read preceded its own write
-        s.on_read_first(2).unwrap(); // earlier iteration arriving late
+        first_write(&mut s, 3).unwrap();
+        read_first(&mut s, 3).unwrap(); // same iteration: read preceded its own write
+        read_first(&mut s, 2).unwrap(); // earlier iteration arriving late
         assert_eq!(s.max_r1st, 3);
     }
 
     #[test]
     fn write_before_read_first_fails() {
         let mut s = PrivSharedElem::default();
-        s.on_read_first(7).unwrap();
-        let err = s.on_first_write(4).unwrap_err();
+        read_first(&mut s, 7).unwrap();
+        let err = first_write(&mut s, 4).unwrap_err();
         assert_eq!(
             err,
             FailReason::WriteBeforeReadFirst {
@@ -396,40 +364,30 @@ mod tests {
     #[test]
     fn min_w_tracks_minimum_across_processors() {
         let mut s = PrivSharedElem::default();
-        s.on_first_write(9).unwrap();
-        s.on_first_write(4).unwrap(); // another processor's first write
+        first_write(&mut s, 9).unwrap();
+        first_write(&mut s, 4).unwrap(); // another processor's first write
         assert_eq!(s.min_w, 4);
-        assert!(s.on_read_first(5).is_err());
+        assert!(read_first(&mut s, 5).is_err());
         // But a read-first at iteration 4 itself is fine.
         let mut s2 = PrivSharedElem::default();
-        s2.on_first_write(4).unwrap();
-        s2.on_read_first(4).unwrap();
+        first_write(&mut s2, 4).unwrap();
+        read_first(&mut s2, 4).unwrap();
     }
 
     #[test]
     fn write_only_pattern_passes_any_order() {
         let mut s = PrivSharedElem::default();
         for iter in [5, 2, 9, 1] {
-            s.on_first_write(iter).unwrap();
+            first_write(&mut s, iter).unwrap();
         }
         assert_eq!(s.min_w, 1);
         assert_eq!(s.max_r1st, 0);
     }
 
     #[test]
-    fn clear_resets_stamps() {
-        let mut s = PrivSharedElem::default();
-        s.on_first_write(1).unwrap();
-        s.on_read_first(1).unwrap();
-        s.clear();
-        assert_eq!(s, PrivSharedElem::default());
-        assert!(!s.written());
-    }
-
-    #[test]
     #[should_panic(expected = "1-based")]
     fn zero_stamp_rejected() {
-        PrivSharedElem::default().on_read_first(0).unwrap();
+        read_first(&mut PrivSharedElem::default(), 0).unwrap();
     }
 
     // ---- injectable-bug behaviour (consumed by the conformance harness) ----
@@ -438,11 +396,11 @@ mod tests {
     fn drop_maxr1st_injection_loses_the_stamp_and_misses_the_hazard() {
         let _g = fault::Injected::new(fault::FaultKind::DropMaxR1stUpdate);
         let mut s = PrivSharedElem::default();
-        s.on_read_first(7).unwrap();
+        read_first(&mut s, 7).unwrap();
         assert_eq!(s.max_r1st, 0, "the injected bug drops the stamp update");
         // Write iteration 4 precedes read-first iteration 7: must FAIL
         // (Fig. 9-j), but the stale stamp lets it through.
-        assert!(s.on_first_write(4).is_ok());
+        assert!(first_write(&mut s, 4).is_ok());
     }
 
     #[test]
@@ -450,11 +408,11 @@ mod tests {
         let _g = fault::Injected::new(fault::FaultKind::SwapTsCompare);
         // A perfectly legal first read-first now fails...
         let mut s = PrivSharedElem::default();
-        assert!(s.on_read_first(1).is_err());
+        assert!(read_first(&mut s, 1).is_err());
         // ...and a genuine flow hazard passes.
         let mut s2 = PrivSharedElem::default();
-        s2.on_first_write(3).unwrap();
-        assert!(s2.on_read_first(5).is_ok());
+        first_write(&mut s2, 3).unwrap();
+        assert!(read_first(&mut s2, 5).is_ok());
     }
 
     // ---- private-directory tests ----
@@ -462,87 +420,85 @@ mod tests {
     #[test]
     fn read_miss_on_untouched_line_is_read_in() {
         let mut p = PrivPrivateElem::default();
-        assert!(p.is_untouched());
-        assert_eq!(p.on_read_miss(3, true), PrivateReadMissOutcome::ReadIn);
+        assert_eq!(read_miss(&mut p, 3, true), PrivateEffect::TestReadFirst);
         assert_eq!(p.pmax_r1st, 3);
-        assert!(!p.is_untouched());
+        assert_ne!(p, PrivPrivateElem::default());
     }
 
     #[test]
     fn read_miss_new_iteration_is_read_first() {
         let mut p = PrivPrivateElem::default();
-        p.on_read_miss(1, true);
-        assert_eq!(p.on_read_miss(4, false), PrivateReadMissOutcome::ReadFirst);
+        read_miss(&mut p, 1, true);
+        assert_eq!(read_miss(&mut p, 4, false), PrivateEffect::SignalReadFirst);
         assert_eq!(p.pmax_r1st, 4);
     }
 
     #[test]
     fn read_miss_same_iteration_is_plain() {
         let mut p = PrivPrivateElem::default();
-        p.on_read_miss(2, true);
+        read_miss(&mut p, 2, true);
         // Line evicted, re-read within the same iteration: already counted.
-        assert_eq!(p.on_read_miss(2, false), PrivateReadMissOutcome::Plain);
+        assert_eq!(read_miss(&mut p, 2, false), PrivateEffect::None);
     }
 
     #[test]
     fn read_miss_after_write_in_same_iteration_is_plain() {
         let mut p = PrivPrivateElem::default();
-        p.on_write_miss(5, true);
+        write_miss(&mut p, 5, true);
         // Read later in iteration 5: written first, so not read-first.
-        assert_eq!(p.on_read_miss(5, false), PrivateReadMissOutcome::Plain);
+        assert_eq!(read_miss(&mut p, 5, false), PrivateEffect::None);
     }
 
     #[test]
     fn write_miss_first_in_loop_notifies_or_reads_in() {
         let mut p = PrivPrivateElem::default();
-        assert_eq!(
-            p.on_write_miss(2, true),
-            PrivateWriteMissOutcome::ReadInForWrite
-        );
+        assert_eq!(write_miss(&mut p, 2, true), PrivateEffect::TestFirstWrite);
         assert_eq!(p.pmax_w, 2);
 
         let mut q = PrivPrivateElem::default();
-        q.on_read_first_signal(1); // line already resident via a read
+        // Line already resident via a read.
+        private(&mut q, PrivateEvent::ReadFirstSignal { iter: 1 });
         assert_eq!(
-            q.on_write_miss(2, false),
-            PrivateWriteMissOutcome::NotifyShared
+            write_miss(&mut q, 2, false),
+            PrivateEffect::SignalFirstWrite
         );
     }
 
     #[test]
     fn write_miss_later_iterations_local() {
         let mut p = PrivPrivateElem::default();
-        p.on_write_miss(1, true);
-        assert_eq!(p.on_write_miss(4, false), PrivateWriteMissOutcome::Local);
+        write_miss(&mut p, 1, true);
+        assert_eq!(write_miss(&mut p, 4, false), PrivateEffect::None);
         assert_eq!(p.pmax_w, 4);
         // Same-iteration re-write after eviction also local, stamp unchanged.
-        assert_eq!(p.on_write_miss(4, false), PrivateWriteMissOutcome::Local);
+        assert_eq!(write_miss(&mut p, 4, false), PrivateEffect::None);
         assert_eq!(p.pmax_w, 4);
     }
 
     #[test]
     fn first_write_signal_forwards_only_once() {
         let mut p = PrivPrivateElem::default();
-        assert!(p.on_first_write_signal(2));
-        assert!(!p.on_first_write_signal(3));
+        assert_eq!(
+            private(&mut p, PrivateEvent::FirstWriteSignal { iter: 2 }),
+            PrivateEffect::SignalFirstWrite
+        );
+        assert_eq!(
+            private(&mut p, PrivateEvent::FirstWriteSignal { iter: 3 }),
+            PrivateEffect::None
+        );
         assert_eq!(p.pmax_w, 3);
     }
 
     #[test]
     fn read_first_signal_records_max() {
         let mut p = PrivPrivateElem::default();
-        p.on_read_first_signal(2);
-        p.on_read_first_signal(5);
-        p.on_read_first_signal(3);
+        for iter in [2, 5, 3] {
+            assert_eq!(
+                private(&mut p, PrivateEvent::ReadFirstSignal { iter }),
+                PrivateEffect::SignalReadFirst
+            );
+        }
         assert_eq!(p.pmax_r1st, 5);
-    }
-
-    #[test]
-    fn private_clear_resets() {
-        let mut p = PrivPrivateElem::default();
-        p.on_read_first_signal(1);
-        p.clear();
-        assert!(p.is_untouched());
     }
 
     // ---- cache-tag side ----
@@ -550,35 +506,26 @@ mod tests {
     #[test]
     fn cache_read_signals_once_per_iteration() {
         let mut t = ElemTag::CLEAR;
-        assert_eq!(priv_cache_read(&mut t), PrivateReadOutcome::ReadFirstSignal);
-        assert_eq!(priv_cache_read(&mut t), PrivateReadOutcome::NoSignal);
+        assert!(cache_read(&mut t));
+        assert!(!cache_read(&mut t));
         t.clear_iteration_bits(); // next iteration
-        assert_eq!(priv_cache_read(&mut t), PrivateReadOutcome::ReadFirstSignal);
+        assert!(cache_read(&mut t));
     }
 
     #[test]
     fn cache_read_after_write_is_not_read_first() {
         let mut t = ElemTag::CLEAR;
-        assert_eq!(
-            priv_cache_write(&mut t),
-            PrivateWriteOutcome::FirstWriteSignal
-        );
-        assert_eq!(priv_cache_read(&mut t), PrivateReadOutcome::NoSignal);
+        assert!(cache_write(&mut t));
+        assert!(!cache_read(&mut t));
     }
 
     #[test]
     fn cache_write_signals_once_per_iteration() {
         let mut t = ElemTag::CLEAR;
-        assert_eq!(
-            priv_cache_write(&mut t),
-            PrivateWriteOutcome::FirstWriteSignal
-        );
-        assert_eq!(priv_cache_write(&mut t), PrivateWriteOutcome::NoSignal);
+        assert!(cache_write(&mut t));
+        assert!(!cache_write(&mut t));
         t.clear_iteration_bits();
-        assert_eq!(
-            priv_cache_write(&mut t),
-            PrivateWriteOutcome::FirstWriteSignal
-        );
+        assert!(cache_write(&mut t));
     }
 
     // ---- end-to-end stamp property on one element ----
@@ -615,9 +562,9 @@ mod tests {
                             };
                             for &is_read in steps {
                                 let r = if is_read {
-                                    s.on_read_first(iter)
+                                    read_first(&mut s, iter)
                                 } else {
-                                    s.on_first_write(iter)
+                                    first_write(&mut s, iter)
                                 };
                                 if r.is_err() {
                                     failed = true;

@@ -19,6 +19,9 @@
 //! read-in anyway — and nothing else; the property tests pin this down.
 
 use crate::fail::FailReason;
+use crate::protospec::{DirEmission, DirEvent, PrivateEffect};
+#[cfg(doc)]
+use crate::ProtocolSpec;
 
 /// Shared-directory per-element state: two sticky bits (Figure 5-b).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -41,40 +44,41 @@ impl PrivNoReadInShared {
         }
     }
 
-    /// A read-first signal arrived.
+    /// The shared-directory bit tests: the no-read-in arm of
+    /// [`ProtocolSpec::dir_step`]. Iteration stamps are ignored.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// FAILs if the element was already written by some iteration: with no
-    /// stamps the order is unknown, so the worst case (flow dependence) is
-    /// assumed.
-    pub fn on_read_first(&mut self) -> Result<(), FailReason> {
-        if self.any_w {
-            return Err(FailReason::ReadFirstAfterWrite { iter: 0, min_w: 0 });
+    /// Panics on a non-privatization event.
+    pub(crate) fn step(&mut self, ev: DirEvent) -> Option<DirEmission> {
+        match ev {
+            // A read-first signal. FAILs if the element was already written
+            // by some iteration: with no stamps the order is unknown, so the
+            // worst case (flow dependence) is assumed.
+            DirEvent::ReadFirst { .. } => {
+                if self.any_w {
+                    return Some(DirEmission::Fail(FailReason::ReadFirstAfterWrite {
+                        iter: 0,
+                        min_w: 0,
+                    }));
+                }
+                self.any_r1st = true;
+                None
+            }
+            // A first-write signal. FAILs if the element was already
+            // read-first by some iteration.
+            DirEvent::FirstWrite { .. } => {
+                if self.any_r1st {
+                    return Some(DirEmission::Fail(FailReason::WriteBeforeReadFirst {
+                        iter: 0,
+                        max_r1st: 0,
+                    }));
+                }
+                self.any_w = true;
+                None
+            }
+            ev => panic!("protocol spec: event {ev:?} does not apply to {self:?}"),
         }
-        self.any_r1st = true;
-        Ok(())
-    }
-
-    /// A first-write signal arrived.
-    ///
-    /// # Errors
-    ///
-    /// FAILs if the element was already read-first by some iteration.
-    pub fn on_first_write(&mut self) -> Result<(), FailReason> {
-        if self.any_r1st {
-            return Err(FailReason::WriteBeforeReadFirst {
-                iter: 0,
-                max_r1st: 0,
-            });
-        }
-        self.any_w = true;
-        Ok(())
-    }
-
-    /// Clears the element (loop start).
-    pub fn clear(&mut self) {
-        *self = PrivNoReadInShared::default();
     }
 }
 
@@ -90,64 +94,41 @@ pub struct PrivNoReadInPrivate {
     pub write_any: bool,
 }
 
-/// What a no-read-in private-directory access decided.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NoReadInOutcome {
-    /// Nothing to forward.
-    Local,
-    /// Forward a read-first / first-write signal to the shared directory.
-    NotifyShared,
-}
-
 impl PrivNoReadInPrivate {
-    /// Whether neither per-iteration bit nor the sticky bit is set.
-    pub fn is_untouched(&self) -> bool {
-        !self.read1st && !self.write && !self.write_any
-    }
-
     /// Start of a new iteration: clears the per-iteration bits.
     pub fn clear_iteration(&mut self) {
         self.read1st = false;
         self.write = false;
     }
 
-    /// A read by this processor.
-    ///
-    /// # Errors
-    ///
-    /// FAILs when the read is a read-first and an *earlier* iteration of
-    /// this same processor wrote the element — a same-processor flow
-    /// dependence across iterations, which even the stamped protocol
-    /// rejects.
-    pub fn on_read(&mut self) -> Result<NoReadInOutcome, FailReason> {
-        if self.read1st || self.write {
-            return Ok(NoReadInOutcome::Local);
+    /// A read (`write == false`) or write by this processor: the body of
+    /// [`ProtocolSpec::private3_step`].
+    pub(crate) fn step(&mut self, write: bool) -> Result<PrivateEffect, FailReason> {
+        if write {
+            // Only the processor's *first* write to the element in the whole
+            // loop notifies the shared directory (mirroring the `PMaxW == 0`
+            // test of algorithm (g)).
+            let first_in_loop = !self.write_any;
+            self.write = true;
+            self.write_any = true;
+            return Ok(if first_in_loop {
+                PrivateEffect::SignalFirstWrite
+            } else {
+                PrivateEffect::None
+            });
         }
-        // A read-first for this iteration.
+        if self.read1st || self.write {
+            return Ok(PrivateEffect::None);
+        }
+        // A read-first for this iteration. FAILs when an *earlier* iteration
+        // of this same processor wrote the element — a same-processor flow
+        // dependence across iterations, which even the stamped protocol
+        // rejects.
         if self.write_any {
             return Err(FailReason::ReadFirstAfterWrite { iter: 0, min_w: 0 });
         }
         self.read1st = true;
-        Ok(NoReadInOutcome::NotifyShared)
-    }
-
-    /// A write by this processor. Only the processor's *first* write to the
-    /// element in the whole loop notifies the shared directory (mirroring
-    /// the `PMaxW == 0` test of algorithm (g)).
-    pub fn on_write(&mut self) -> Result<NoReadInOutcome, FailReason> {
-        let first_in_loop = !self.write_any;
-        self.write = true;
-        self.write_any = true;
-        if first_in_loop {
-            Ok(NoReadInOutcome::NotifyShared)
-        } else {
-            Ok(NoReadInOutcome::Local)
-        }
-    }
-
-    /// Clears everything (loop start).
-    pub fn clear(&mut self) {
-        *self = PrivNoReadInPrivate::default();
+        Ok(PrivateEffect::SignalReadFirst)
     }
 }
 
@@ -155,15 +136,61 @@ impl PrivNoReadInPrivate {
 mod tests {
     use super::*;
     use crate::privat::PrivSharedElem;
+    use crate::protospec::{DirElem, ProtocolSpec};
+
+    /// Runs `ev` through [`ProtocolSpec::dir_step`] at `s`, keeping the
+    /// successor; `Err` carries a FAIL.
+    fn shared(s: &mut PrivNoReadInShared, ev: DirEvent) -> Result<(), FailReason> {
+        let (next, em) = ProtocolSpec::dir_step(DirElem::Priv3(*s), ev);
+        let DirElem::Priv3(next) = next else {
+            panic!("variant changed: {next:?}")
+        };
+        *s = next;
+        match em {
+            None => Ok(()),
+            Some(DirEmission::Fail(reason)) => Err(reason),
+            Some(other) => panic!("unexpected emission {other:?}"),
+        }
+    }
+
+    fn read_first(s: &mut PrivNoReadInShared) -> Result<(), FailReason> {
+        shared(s, DirEvent::ReadFirst { iter: 1 })
+    }
+
+    fn first_write(s: &mut PrivNoReadInShared) -> Result<(), FailReason> {
+        shared(s, DirEvent::FirstWrite { iter: 1 })
+    }
+
+    /// The stamped protocol's shared-directory step, for comparison.
+    fn stamped(s: &mut PrivSharedElem, ev: DirEvent) -> Result<(), FailReason> {
+        let (next, em) = ProtocolSpec::dir_step(DirElem::Priv(*s), ev);
+        let DirElem::Priv(next) = next else {
+            panic!("variant changed: {next:?}")
+        };
+        *s = next;
+        match em {
+            None => Ok(()),
+            Some(DirEmission::Fail(reason)) => Err(reason),
+            Some(other) => panic!("unexpected emission {other:?}"),
+        }
+    }
+
+    /// Runs one access through [`ProtocolSpec::private3_step`] at `p`,
+    /// keeping the successor.
+    fn access(p: &mut PrivNoReadInPrivate, write: bool) -> Result<PrivateEffect, FailReason> {
+        let (next, r) = ProtocolSpec::private3_step(*p, write);
+        *p = next;
+        r
+    }
 
     #[test]
     fn no_read_in_state_labels() {
         let mut s = PrivNoReadInShared::default();
         assert_eq!(s.state_label(), "Clear");
-        s.on_read_first().unwrap();
+        read_first(&mut s).unwrap();
         assert_eq!(s.state_label(), "AnyR1st");
         let mut w = PrivNoReadInShared::default();
-        w.on_first_write().unwrap();
+        first_write(&mut w).unwrap();
         assert_eq!(w.state_label(), "AnyW");
     }
 
@@ -174,10 +201,10 @@ mod tests {
         let mut s = PrivNoReadInShared::default();
         for _iter in 0..5 {
             p.clear_iteration();
-            if p.on_write().unwrap() == NoReadInOutcome::NotifyShared {
-                s.on_first_write().unwrap();
+            if access(&mut p, true).unwrap() == PrivateEffect::SignalFirstWrite {
+                first_write(&mut s).unwrap();
             }
-            assert_eq!(p.on_read().unwrap(), NoReadInOutcome::Local);
+            assert_eq!(access(&mut p, false).unwrap(), PrivateEffect::None);
         }
         assert!(s.any_w && !s.any_r1st);
     }
@@ -188,8 +215,8 @@ mod tests {
         let mut s = PrivNoReadInShared::default();
         for _ in 0..3 {
             p.clear_iteration();
-            if p.on_read().unwrap() == NoReadInOutcome::NotifyShared {
-                s.on_read_first().unwrap();
+            if access(&mut p, false).unwrap() == PrivateEffect::SignalReadFirst {
+                read_first(&mut s).unwrap();
             }
         }
         assert!(s.any_r1st && !s.any_w);
@@ -198,54 +225,52 @@ mod tests {
     #[test]
     fn same_proc_write_then_later_read_first_fails_locally() {
         let mut p = PrivNoReadInPrivate::default();
-        p.on_write().unwrap();
+        access(&mut p, true).unwrap();
         p.clear_iteration();
-        assert!(p.on_read().is_err());
+        assert!(access(&mut p, false).is_err());
     }
 
     #[test]
     fn cross_proc_mixed_read_write_fails_at_shared() {
         let mut s = PrivNoReadInShared::default();
-        s.on_read_first().unwrap();
-        assert!(s.on_first_write().is_err());
+        read_first(&mut s).unwrap();
+        assert!(first_write(&mut s).is_err());
         let mut s2 = PrivNoReadInShared::default();
-        s2.on_first_write().unwrap();
-        assert!(s2.on_read_first().is_err());
+        first_write(&mut s2).unwrap();
+        assert!(read_first(&mut s2).is_err());
     }
 
     #[test]
     fn conservative_wrt_stamps_on_figure3_patterns() {
         // Reads (iters 1..2) then writes (iters 3..4): the stamped protocol
         // passes (needs read-in); the reduced state must fail.
-        let mut stamped = PrivSharedElem::default();
-        stamped.on_read_first(1).unwrap();
-        stamped.on_read_first(2).unwrap();
-        stamped.on_first_write(3).unwrap();
-        stamped.on_first_write(4).unwrap(); // passes
+        let mut st = PrivSharedElem::default();
+        stamped(&mut st, DirEvent::ReadFirst { iter: 1 }).unwrap();
+        stamped(&mut st, DirEvent::ReadFirst { iter: 2 }).unwrap();
+        stamped(&mut st, DirEvent::FirstWrite { iter: 3 }).unwrap();
+        stamped(&mut st, DirEvent::FirstWrite { iter: 4 }).unwrap(); // passes
 
         let mut reduced = PrivNoReadInShared::default();
-        reduced.on_read_first().unwrap();
-        reduced.on_read_first().unwrap();
+        read_first(&mut reduced).unwrap();
+        read_first(&mut reduced).unwrap();
         assert!(
-            reduced.on_first_write().is_err(),
+            first_write(&mut reduced).is_err(),
             "reduced state is conservative"
         );
     }
 
     #[test]
-    fn untouched_and_clear() {
+    fn write_any_is_sticky_across_iterations() {
         let mut p = PrivNoReadInPrivate::default();
-        assert!(p.is_untouched());
-        p.on_write().unwrap();
-        assert!(!p.is_untouched());
+        access(&mut p, true).unwrap();
+        assert_ne!(p, PrivNoReadInPrivate::default());
         p.clear_iteration();
-        assert!(!p.is_untouched(), "WriteAny is sticky across iterations");
-        p.clear();
-        assert!(p.is_untouched());
-        let mut s = PrivNoReadInShared::default();
-        s.on_first_write().unwrap();
-        s.clear();
-        assert_eq!(s, PrivNoReadInShared::default());
+        assert_ne!(
+            p,
+            PrivNoReadInPrivate::default(),
+            "WriteAny is sticky across iterations"
+        );
+        assert!(p.write_any && !p.write && !p.read1st);
     }
 
     #[test]
@@ -273,8 +298,8 @@ mod tests {
                             let iter = i as u64 + 1;
                             let r = match beh {
                                 B::Skip => Ok(()),
-                                B::ReadFirst => st.on_read_first(iter),
-                                B::WriteFirst => st.on_first_write(iter),
+                                B::ReadFirst => stamped(&mut st, DirEvent::ReadFirst { iter }),
+                                B::WriteFirst => stamped(&mut st, DirEvent::FirstWrite { iter }),
                             };
                             if r.is_err() {
                                 st_fail = true;
@@ -287,8 +312,8 @@ mod tests {
                         for beh in seq.iter() {
                             let r = match beh {
                                 B::Skip => Ok(()),
-                                B::ReadFirst => rd.on_read_first(),
-                                B::WriteFirst => rd.on_first_write(),
+                                B::ReadFirst => read_first(&mut rd),
+                                B::WriteFirst => first_write(&mut rd),
                             };
                             if r.is_err() {
                                 rd_fail = true;

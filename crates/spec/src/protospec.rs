@@ -38,15 +38,9 @@ use std::ops::Range;
 use specrt_cache::ElemTag;
 use specrt_mem::ProcId;
 
-use crate::nonpriv::{
-    nonpriv_cache_read, nonpriv_cache_write, nonpriv_complete_write, nonpriv_on_first_update_fail,
-    FirstUpdateOutcome, NonPrivDirElem, NonPrivReadAction, NonPrivWriteAction,
-};
-use crate::privat::{
-    priv_cache_read, priv_cache_write, PrivPrivateElem, PrivSharedElem, PrivateReadMissOutcome,
-    PrivateReadOutcome, PrivateWriteMissOutcome, PrivateWriteOutcome,
-};
-use crate::privat3::{NoReadInOutcome, PrivNoReadInPrivate, PrivNoReadInShared};
+use crate::nonpriv::{self, NonPrivDirElem};
+use crate::privat::{PrivPrivateElem, PrivSharedElem};
+use crate::privat3::{PrivNoReadInPrivate, PrivNoReadInShared};
 use crate::FailReason;
 
 // ---------------------------------------------------------------------
@@ -75,30 +69,6 @@ impl DirElem {
         match self {
             DirElem::NonPriv(e) => e,
             other => panic!("expected NonPriv element, got {other:?}"),
-        }
-    }
-
-    /// The privatization payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variant is not `Priv`.
-    pub fn unwrap_priv(self) -> PrivSharedElem {
-        match self {
-            DirElem::Priv(e) => e,
-            other => panic!("expected Priv element, got {other:?}"),
-        }
-    }
-
-    /// The reduced no-read-in payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variant is not `Priv3`.
-    pub fn unwrap_priv3(self) -> PrivNoReadInShared {
-        match self {
-            DirElem::Priv3(e) => e,
-            other => panic!("expected Priv3 element, got {other:?}"),
         }
     }
 }
@@ -269,51 +239,13 @@ impl ProtocolSpec {
     /// variant (e.g. a `First_update` at a privatization element) — the
     /// executor routed a message to the wrong store.
     pub fn dir_step(elem: DirElem, ev: DirEvent) -> (DirElem, Option<DirEmission>) {
-        match (elem, ev) {
-            (DirElem::NonPriv(mut e), DirEvent::ReadReq { from }) => {
-                let em = e.on_read_req(from).err().map(DirEmission::Fail);
-                (DirElem::NonPriv(e), em)
-            }
-            (DirElem::NonPriv(mut e), DirEvent::WriteReq { from }) => {
-                let em = e.on_write_req(from).err().map(DirEmission::Fail);
-                (DirElem::NonPriv(e), em)
-            }
-            (DirElem::NonPriv(mut e), DirEvent::Writeback { tag, owner }) => {
-                let em = e.merge_writeback(tag, owner).err().map(DirEmission::Fail);
-                (DirElem::NonPriv(e), em)
-            }
-            (DirElem::NonPriv(mut e), DirEvent::FirstUpdate { sender }) => {
-                let em = match e.on_first_update(sender) {
-                    Ok(FirstUpdateOutcome::Accepted) | Ok(FirstUpdateOutcome::Redundant) => None,
-                    Ok(FirstUpdateOutcome::Bounced) => {
-                        Some(DirEmission::SendFirstUpdateFail { target: sender })
-                    }
-                    Err(reason) => Some(DirEmission::Fail(reason)),
-                };
-                (DirElem::NonPriv(e), em)
-            }
-            (DirElem::NonPriv(mut e), DirEvent::ROnlyUpdate { sender }) => {
-                let em = e.on_r_only_update(sender).err().map(DirEmission::Fail);
-                (DirElem::NonPriv(e), em)
-            }
-            (DirElem::Priv(mut e), DirEvent::ReadFirst { iter }) => {
-                let em = e.on_read_first(iter).err().map(DirEmission::Fail);
-                (DirElem::Priv(e), em)
-            }
-            (DirElem::Priv(mut e), DirEvent::FirstWrite { iter }) => {
-                let em = e.on_first_write(iter).err().map(DirEmission::Fail);
-                (DirElem::Priv(e), em)
-            }
-            (DirElem::Priv3(mut e), DirEvent::ReadFirst { .. }) => {
-                let em = e.on_read_first().err().map(DirEmission::Fail);
-                (DirElem::Priv3(e), em)
-            }
-            (DirElem::Priv3(mut e), DirEvent::FirstWrite { .. }) => {
-                let em = e.on_first_write().err().map(DirEmission::Fail);
-                (DirElem::Priv3(e), em)
-            }
-            (elem, ev) => panic!("protocol spec: event {ev:?} does not apply to {elem:?}"),
-        }
+        let mut next = elem;
+        let em = match &mut next {
+            DirElem::NonPriv(e) => e.step(ev),
+            DirElem::Priv(e) => e.step(ev),
+            DirElem::Priv3(e) => e.step(ev),
+        };
+        (next, em)
     }
 
     /// The non-privatization cache-tag transition function (algorithms
@@ -324,92 +256,61 @@ impl ProtocolSpec {
         ev: CacheEvent,
     ) -> (ElemTag, Option<CacheEmission>) {
         let mut t = tag;
-        let em = match ev {
-            CacheEvent::Read { reader } => match nonpriv_cache_read(&mut t, dirty, reader) {
-                Ok(NonPrivReadAction::NoMessage) => None,
-                Ok(NonPrivReadAction::SendFirstUpdate) => Some(CacheEmission::SendFirstUpdate),
-                Ok(NonPrivReadAction::SendROnlyUpdate) => Some(CacheEmission::SendROnlyUpdate),
-                Err(reason) => Some(CacheEmission::Fail(reason)),
-            },
-            CacheEvent::Write { writer } => match nonpriv_cache_write(&mut t, dirty, writer) {
-                Ok(NonPrivWriteAction::WriteNow) => None,
-                Ok(NonPrivWriteAction::NeedWriteReq) => Some(CacheEmission::NeedWriteReq),
-                Err(reason) => Some(CacheEmission::Fail(reason)),
-            },
-            CacheEvent::CompleteWrite => {
-                nonpriv_complete_write(&mut t);
-                None
-            }
-            CacheEvent::FirstUpdateFail { target } => nonpriv_on_first_update_fail(&mut t, target)
-                .err()
-                .map(CacheEmission::Fail),
-        };
+        let em = nonpriv::tag_step(&mut t, dirty, ev);
         (t, em)
     }
 
-    /// The privatization cache-tag read step: returns the new tag and
-    /// whether a read-first signal must go to the private directory.
+    /// The privatization cache-tag read step (algorithm (a)): sets the
+    /// per-iteration `Read1st` bit and returns whether this is the
+    /// iteration's read-first, which must be signalled to the private
+    /// directory.
     pub fn private_cache_read(tag: ElemTag) -> (ElemTag, bool) {
         let mut t = tag;
-        let signal = priv_cache_read(&mut t) == PrivateReadOutcome::ReadFirstSignal;
+        let signal = !t.read1st() && !t.write();
+        if signal {
+            t.set_read1st(true);
+        }
         (t, signal)
     }
 
-    /// The privatization cache-tag write step: returns the new tag and
-    /// whether a first-write signal must go to the private directory.
+    /// The privatization cache-tag write step (algorithm (f)): sets the
+    /// per-iteration `Write` bit and returns whether this is the
+    /// iteration's first write, which must be signalled to the private
+    /// directory.
     pub fn private_cache_write(tag: ElemTag) -> (ElemTag, bool) {
         let mut t = tag;
-        let signal = priv_cache_write(&mut t) == PrivateWriteOutcome::FirstWriteSignal;
+        let signal = !t.write();
+        t.set_write(true);
         (t, signal)
     }
 
     /// The private-directory transition function of the privatization
     /// variant (stamped, Fig. 8).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the event's iteration stamp is 0 (stamps are 1-based).
     pub fn private_step(
         elem: PrivPrivateElem,
         ev: PrivateEvent,
     ) -> (PrivPrivateElem, PrivateEffect) {
         let mut e = elem;
-        let effect = match ev {
-            PrivateEvent::ReadFirstSignal { iter } => {
-                e.on_read_first_signal(iter);
-                PrivateEffect::SignalReadFirst
-            }
-            PrivateEvent::ReadMiss {
-                iter,
-                line_untouched,
-            } => match e.on_read_miss(iter, line_untouched) {
-                PrivateReadMissOutcome::ReadIn => PrivateEffect::TestReadFirst,
-                PrivateReadMissOutcome::ReadFirst => PrivateEffect::SignalReadFirst,
-                PrivateReadMissOutcome::Plain => PrivateEffect::None,
-            },
-            PrivateEvent::FirstWriteSignal { iter } => {
-                if e.on_first_write_signal(iter) {
-                    PrivateEffect::SignalFirstWrite
-                } else {
-                    PrivateEffect::None
-                }
-            }
-            PrivateEvent::WriteMiss {
-                iter,
-                line_untouched,
-            } => match e.on_write_miss(iter, line_untouched) {
-                PrivateWriteMissOutcome::ReadInForWrite => PrivateEffect::TestFirstWrite,
-                PrivateWriteMissOutcome::NotifyShared => PrivateEffect::SignalFirstWrite,
-                PrivateWriteMissOutcome::Local => PrivateEffect::None,
-            },
-        };
+        let effect = e.step(ev);
         (e, effect)
     }
 
     /// The private-directory transition function of the reduced
-    /// no-read-in variant (Fig. 5-b bits).
+    /// no-read-in variant (Fig. 5-b bits): a read (`write == false`) or a
+    /// write by the owning processor. The effect is
+    /// [`PrivateEffect::SignalReadFirst`] / [`PrivateEffect::SignalFirstWrite`]
+    /// when the shared directory must be notified, else
+    /// [`PrivateEffect::None`].
     pub fn private3_step(
         elem: PrivNoReadInPrivate,
         write: bool,
-    ) -> (PrivNoReadInPrivate, Result<NoReadInOutcome, FailReason>) {
+    ) -> (PrivNoReadInPrivate, Result<PrivateEffect, FailReason>) {
         let mut e = elem;
-        let r = if write { e.on_write() } else { e.on_read() };
+        let r = e.step(write);
         (e, r)
     }
 }
@@ -1272,15 +1173,15 @@ impl ProtocolSpec {
             let (e2, r) = ProtocolSpec::private3_step(e, write);
             s.pdir[pi] = PrivateDirElem::Priv3(e2);
             match r {
-                Ok(NoReadInOutcome::NotifyShared) => s.inflight.push(Flight {
+                Ok(PrivateEffect::SignalReadFirst) => s.inflight.push(Flight {
                     src: proc,
-                    msg: if write {
-                        FlightMsg::FirstWrite { elem, iter: 1 }
-                    } else {
-                        FlightMsg::ReadFirst { elem, iter: 1 }
-                    },
+                    msg: FlightMsg::ReadFirst { elem, iter: 1 },
                 }),
-                Ok(NoReadInOutcome::Local) => {}
+                Ok(PrivateEffect::SignalFirstWrite) => s.inflight.push(Flight {
+                    src: proc,
+                    msg: FlightMsg::FirstWrite { elem, iter: 1 },
+                }),
+                Ok(_) => {}
                 Err(reason) => self.fail(s, em, reason),
             }
         }
@@ -1315,8 +1216,10 @@ mod tests {
 
     #[test]
     fn first_update_race_bounces() {
-        let mut e = NonPrivDirElem::default();
-        e.on_first_update(ProcId(0)).unwrap();
+        let e = NonPrivDirElem {
+            first: Some(ProcId(0)),
+            ..NonPrivDirElem::default()
+        };
         let (_, em) = ProtocolSpec::dir_step(
             DirElem::NonPriv(e),
             DirEvent::FirstUpdate { sender: ProcId(1) },

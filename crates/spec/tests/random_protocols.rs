@@ -8,13 +8,24 @@
 
 use specrt_engine::SplitMix64;
 use specrt_mem::ProcId;
-use specrt_spec::{NonPrivDirElem, PrivPrivateElem, PrivSharedElem};
+use specrt_spec::{
+    DirElem, DirEmission, DirEvent, NonPrivDirElem, PrivPrivateElem, PrivSharedElem, PrivateEvent,
+    ProtocolSpec,
+};
 
 #[derive(Debug, Clone, Copy)]
 struct Access {
     proc: u8,
     elem: u8,
     write: bool,
+}
+
+/// Runs `ev` through [`ProtocolSpec::dir_step`] at `elem`, keeping the
+/// successor; returns whether the step FAILed.
+fn dir_fails(elem: &mut DirElem, ev: DirEvent) -> bool {
+    let (next, em) = ProtocolSpec::dir_step(*elem, ev);
+    *elem = next;
+    matches!(em, Some(DirEmission::Fail(_)))
 }
 
 fn random_accesses(rng: &mut SplitMix64, procs: u8, elems: u8, max_len: u64) -> Vec<Access> {
@@ -35,21 +46,19 @@ fn nonpriv_matches_envelope() {
     let mut rng = SplitMix64::new(0x5eed_0001);
     for _case in 0..256 {
         let accesses = random_accesses(&mut rng, 4, 6, 60);
-        let mut dirs = [NonPrivDirElem::default(); 6];
+        let mut dirs = [DirElem::NonPriv(NonPrivDirElem::default()); 6];
         let mut failed = [false; 6];
         for a in &accesses {
-            let d = &mut dirs[a.elem as usize];
             if failed[a.elem as usize] {
                 continue;
             }
-            let r = if a.write {
-                d.on_write_req(ProcId(a.proc as u32))
+            let from = ProcId(a.proc as u32);
+            let ev = if a.write {
+                DirEvent::WriteReq { from }
             } else {
-                d.on_read_req(ProcId(a.proc as u32))
+                DirEvent::ReadReq { from }
             };
-            if r.is_err() {
-                failed[a.elem as usize] = true;
-            }
+            failed[a.elem as usize] = dir_fails(&mut dirs[a.elem as usize], ev);
         }
         for e in 0..6u8 {
             let touching: std::collections::BTreeSet<u8> = accesses
@@ -78,18 +87,18 @@ fn priv_stamps_match_minmax_rule() {
         let events: Vec<(u64, bool)> = (0..rng.below(40))
             .map(|_| (rng.range(1, 41), rng.chance(0.5)))
             .collect();
-        let mut shared = PrivSharedElem::default();
+        let mut shared = DirElem::Priv(PrivSharedElem::default());
         let mut failed = false;
         for &(iter, is_read) in &events {
             if failed {
                 break;
             }
-            let r = if is_read {
-                shared.on_read_first(iter)
+            let ev = if is_read {
+                DirEvent::ReadFirst { iter }
             } else {
-                shared.on_first_write(iter)
+                DirEvent::FirstWrite { iter }
             };
-            failed |= r.is_err();
+            failed |= dir_fails(&mut shared, ev);
         }
         // The protocol fails at the first event where the min/max rule is
         // violated, and max/min are monotone over the prefix, so overall
@@ -110,9 +119,9 @@ fn priv_stamps_match_minmax_rule() {
     }
 }
 
-/// Private-directory stamps: `is_untouched` holds until the first event,
-/// and `pmax` fields track maxima under monotone per-processor iteration
-/// sequences.
+/// Private-directory stamps: the element stays clear until the first
+/// event, and `pmax` fields track maxima under monotone per-processor
+/// iteration sequences.
 #[test]
 fn private_stamps_track_maxima() {
     let mut rng = SplitMix64::new(0x5eed_0003);
@@ -123,7 +132,6 @@ fn private_stamps_track_maxima() {
         // Per-processor iteration sequences are nondecreasing.
         iters.sort_by_key(|e| e.0);
         let mut p = PrivPrivateElem::default();
-        assert!(p.is_untouched());
         let mut max_w = 0u64;
         let mut max_rf = 0u64;
         for &(iter, is_read) in &iters {
@@ -131,17 +139,17 @@ fn private_stamps_track_maxima() {
                 // A read is read-first iff neither stamp reached this
                 // iteration yet.
                 if p.pmax_r1st < iter && p.pmax_w < iter {
-                    p.on_read_first_signal(iter);
+                    p = ProtocolSpec::private_step(p, PrivateEvent::ReadFirstSignal { iter }).0;
                     max_rf = max_rf.max(iter);
                 }
             } else {
-                p.on_first_write_signal(iter);
+                p = ProtocolSpec::private_step(p, PrivateEvent::FirstWriteSignal { iter }).0;
                 max_w = max_w.max(iter);
             }
         }
         assert_eq!(p.pmax_w, max_w);
         assert_eq!(p.pmax_r1st, max_rf);
-        assert!(!p.is_untouched());
+        assert_ne!(p, PrivPrivateElem::default());
     }
 }
 
@@ -153,29 +161,30 @@ fn dir_tag_projection_round_trip() {
     'case: for _case in 0..512 {
         let reads: Vec<u32> = (0..rng.below(3)).map(|_| rng.below(4) as u32).collect();
         let writes: Vec<u32> = (0..rng.below(3)).map(|_| rng.below(4) as u32).collect();
-        let mut d = NonPrivDirElem::default();
+        let mut elem = DirElem::NonPriv(NonPrivDirElem::default());
         for &p in &reads {
-            if d.on_read_req(ProcId(p)).is_err() {
+            if dir_fails(&mut elem, DirEvent::ReadReq { from: ProcId(p) }) {
                 continue 'case;
             }
         }
         for &p in &writes {
-            if d.on_write_req(ProcId(p)).is_err() {
+            if dir_fails(&mut elem, DirEvent::WriteReq { from: ProcId(p) }) {
                 continue 'case;
             }
         }
+        let d = elem.unwrap_nonpriv();
         let viewer = ProcId(0);
         let tag = d.to_tag(viewer);
         assert_eq!(tag.no_shr(), d.no_shr);
         assert_eq!(tag.r_only(), d.r_only);
         // Merging the projection back from its owner is a no-op on the
         // envelope decision.
-        let before = d;
-        let merge = d.merge_writeback(tag, viewer);
-        if before.first == Some(viewer) || before.first.is_none() {
-            assert!(merge.is_ok());
-            assert_eq!(d.no_shr, before.no_shr);
-            assert_eq!(d.r_only | before.r_only, d.r_only);
+        let (merged, em) = ProtocolSpec::dir_step(elem, DirEvent::Writeback { tag, owner: viewer });
+        let merged = merged.unwrap_nonpriv();
+        if d.first == Some(viewer) || d.first.is_none() {
+            assert_eq!(em, None);
+            assert_eq!(merged.no_shr, d.no_shr);
+            assert_eq!(merged.r_only | d.r_only, merged.r_only);
         }
     }
 }

@@ -159,8 +159,11 @@ fn priv3_elem(e: PrivNoReadInPrivate) -> String {
 fn priv3_outcome(e: PrivNoReadInPrivate, write: bool) -> String {
     let (next, r) = ProtocolSpec::private3_step(e, write);
     let em = match r {
-        Ok(specrt_spec::NoReadInOutcome::Local) => "local".to_string(),
-        Ok(specrt_spec::NoReadInOutcome::NotifyShared) => "notify".to_string(),
+        Ok(PrivateEffect::None) => "local".to_string(),
+        Ok(PrivateEffect::SignalReadFirst | PrivateEffect::SignalFirstWrite) => {
+            "notify".to_string()
+        }
+        Ok(other) => panic!("private3_step produced {other:?}"),
         Err(r) => fail(r),
     };
     format!("{} {em}", priv3_elem(next))

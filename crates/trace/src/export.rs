@@ -8,8 +8,11 @@ use std::fmt::Write as _;
 use crate::event::TraceEvent;
 use crate::metrics::MetricsRegistry;
 
-/// Escapes `s` for inclusion in a JSON string literal.
-fn esc(s: &str) -> String {
+/// Escapes `s` for inclusion in a JSON string literal (the quotes are the
+/// caller's): `"`, `\\` and the control characters. The one JSON string
+/// escaper of the workspace — the trace exporters, the canonical request
+/// form and the serve error payloads all use it.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -83,8 +86,8 @@ fn event_json(e: &TraceEvent) -> String {
                 s,
                 ",\"proc\":{proc},\"arr\":{arr},\"idx\":{idx},\"protocol\":\"{protocol}\",\
                  \"from\":\"{}\",\"to\":\"{}\"",
-                esc(from),
-                esc(to)
+                escape_json(from),
+                escape_json(to)
             );
             if let Some(i) = iter {
                 let _ = write!(s, ",\"iter\":{i}");
@@ -164,7 +167,11 @@ fn event_json(e: &TraceEvent) -> String {
             reason,
             ..
         } => {
-            let _ = write!(s, ",\"label\":\"{label}\",\"reason\":\"{}\"", esc(reason));
+            let _ = write!(
+                s,
+                ",\"label\":\"{label}\",\"reason\":\"{}\"",
+                escape_json(reason)
+            );
             if let Some(p) = proc {
                 let _ = write!(s, ",\"proc\":{p}");
             }
@@ -233,7 +240,7 @@ fn chrome_event(e: &TraceEvent) -> String {
         } => format!(
             "{{\"name\":\"{protocol} arr{arr}[{idx}] -> {}\",\"cat\":\"spec\",\"ph\":\"i\",\
              \"s\":\"t\",\"ts\":{},\"pid\":0,\"tid\":{proc},\"args\":{args}}}",
-            esc(to),
+            escape_json(to),
             at.raw(),
         ),
         TraceEvent::Message { at, kind, arr, idx } => format!(
@@ -317,14 +324,14 @@ pub fn chrome_host_trace(report: &specrt_prof::ProfReport) -> String {
             out,
             ",{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
              \"args\":{{\"name\":\"{}\"}}}}",
-            esc(&t.label)
+            escape_json(&t.label)
         );
         for s in &t.timeline {
             let _ = write!(
                 out,
                 ",{{\"name\":\"{}\",\"cat\":\"host\",\"ph\":\"X\",\"ts\":{:.3},\
                  \"dur\":{:.3},\"pid\":1,\"tid\":{tid}}}",
-                esc(s.name),
+                escape_json(s.name),
                 s.start_ns as f64 / 1e3,
                 (s.dur_ns as f64 / 1e3).max(0.001),
             );
@@ -342,7 +349,7 @@ pub fn metrics_json(m: &MetricsRegistry) -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\":{v}", esc(k));
+        let _ = write!(out, "\"{}\":{v}", escape_json(k));
     }
     out.push_str("},\"histograms\":{");
     for (i, (k, h)) in m.histograms().enumerate() {
@@ -352,7 +359,7 @@ pub fn metrics_json(m: &MetricsRegistry) -> String {
         let _ = write!(
             out,
             "\"{}\":{{\"count\":{},\"sum\":{},\"mean\":{:.3},\"max\":{},\"buckets\":{{",
-            esc(k),
+            escape_json(k),
             h.count(),
             h.sum(),
             h.mean(),
@@ -378,7 +385,7 @@ pub fn metrics_json(m: &MetricsRegistry) -> String {
         let _ = write!(
             out,
             "\"{}\":{{\"busy\":{},\"sync\":{},\"mem\":{}}}",
-            esc(k),
+            escape_json(k),
             b.busy.raw(),
             b.sync.raw(),
             b.mem.raw()
@@ -518,8 +525,8 @@ mod tests {
 
     #[test]
     fn escaping_handles_quotes_and_controls() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("\u{1}"), "\\u0001");
+        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape_json("\u{1}"), "\\u0001");
     }
 
     #[test]
